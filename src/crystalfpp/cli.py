@@ -491,26 +491,14 @@ def _run_render(config: dict) -> ExperimentResult:
             entry["values"].append(float(row[3]))
     if not by_dir:
         raise ConfigError(f"{path}: no shape rows found")
-    from .estimate import _mean_se
-
     dirs = [tuple(int(c) for c in by_dir[j]["direction"].split(","))
             for j in sorted(by_dir)]
-    stats = [_mean_se(by_dir[j]["values"]) for j in sorted(by_dir)]
-    mu = np.array([m for m, _ in stats])
-    se = np.array([s for _, s in stats])
-    rho = real.period_matrix()
-    lattice_points = np.array([rho @ np.array(z, dtype=float) for z in dirs])
-    lens = np.linalg.norm(lattice_points, axis=1)
-    safe = np.maximum(mu, 1e-300)
-    points = lattice_points / safe[:, None]
-    from .estimate import convex_hull_2d
-
-    shape = ShapeEstimate(
-        dim=lat.dim, directions=tuple(dirs), unit_directions=lattice_points / lens[:, None],
-        mu=mu, std_errors=se, mu_unit=mu / lens, radial=lens / safe, points=points,
-        hull=convex_hull_2d(points) if lat.dim == 2 else None, unbounded=False,
-        zero_threshold=0.02, k_max=0, replicas=0, radius_used=0,
-        base_seed=int(config["base_seed"]), distribution_label="from-csv",
+    if len({len(entry["values"]) for entry in by_dir.values()}) != 1:
+        raise ConfigError(f"{path}: directions have different replica counts")
+    samples = np.array([by_dir[j]["values"] for j in sorted(by_dir)]).T
+    shape = ShapeEstimate.from_samples(
+        real, dirs, samples, float(config["zero_threshold"]), k_max=0, replicas=0,
+        radius_used=0, base_seed=int(config["base_seed"]), distribution_label="from-csv",
         lattice_id=lattice_hash(lat, real))
     svg = render_shape_svg(shape)
     summary = _provenance(config, lat, real) + [f"n_directions={len(dirs)}"]

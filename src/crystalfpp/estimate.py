@@ -35,7 +35,7 @@ from .lattice import (
     instantiate_window,
     lattice_hash,
 )
-from .quotient import KernelSublattice, QuotientData, build_quotient
+from .quotient import KernelSublattice, QuotientData, build_quotient, covering_fiber
 
 
 class EstimatorError(RuntimeError):
@@ -168,6 +168,43 @@ def _mean_se(values: Sequence[float]) -> tuple[float, float]:
     return m, math.sqrt(var / n)
 
 
+def _replica_times(ctx, i):
+    """Passage times and boundary flags of replica i at the target indices."""
+    window, distribution, base_seed, role, source, target_idx, margin = ctx
+    config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
+    res = passage_times(config, source, margin=margin)
+    return res.times[target_idx].tolist(), res.flags[target_idx].tolist()
+
+
+def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
+                        distribution: TimeDistribution, radius: int, targets, flagged,
+                        replicas: int, base_seed: int, seed_role: int, margin: int,
+                        workers: int, max_vertices: int, max_enlargements: int):
+    """Replica (times, flags) at the vertices targets(window), on an unflagged window.
+
+    Runs every replica on the [-radius, radius]^d window; while flagged(times,
+    flags) holds for any replica, the radius grows by max(2, radius // 2) and
+    all replicas rerun, at most max_enlargements times.  Returns (results,
+    target indices, radius, enlargements).
+    """
+    source = (lattice.base.vertices[0], (0,) * lattice.dim)
+    enlargements = 0
+    while True:
+        window = instantiate_window(lattice, realization, radius, max_vertices=max_vertices)
+        target_idx = [window.vertex_index[v] for v in targets(window)]
+        if not target_idx:
+            raise EstimatorError("no target vertex inside the window")
+        ctx = (window, distribution, base_seed, seed_role, source, target_idx, margin)
+        results = _map_replicas(_replica_times, ctx, replicas, workers)
+        if not any(flagged(times, flags) for times, flags in results):
+            return results, target_idx, radius, enlargements
+        enlargements += 1
+        if enlargements > max_enlargements:
+            raise EstimatorError(
+                f"boundary flags persisted after {max_enlargements} window enlargements")
+        radius += max(2, radius // 2)
+
+
 # ---------------------------------------------------------------------------
 # time constants
 
@@ -203,14 +240,6 @@ class TimeConstantEstimate:
         return self.k_max * self.scale
 
 
-def _mu_replica(ctx, i):
-    window, distribution, base_seed, role, source, target_idx, margin = ctx
-    config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
-    res = passage_times(config, source, margin=margin)
-    per_k = [float(res.times[t]) for t in target_idx]
-    return per_k, bool(res.flags[target_idx[-1]])
-
-
 def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
                            distribution: TimeDistribution, direction: Sequence,
                            k_max: int, replicas: int, base_seed: int, *,
@@ -236,22 +265,13 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     if not check.finite:
         raise MomentConditionError(check.witness)
 
-    source = (lattice.base.vertices[0], (0,) * lattice.dim)
-    radius = max(abs(c) for c in step) * k_max + margin + slack_layers
-    enlargements = 0
-    while True:
-        window = instantiate_window(lattice, realization, radius, max_vertices=max_vertices)
-        target_idx = [window.vertex_index[(source[0], tuple(k * c for c in step))]
-                      for k in range(1, k_max + 1)]
-        ctx = (window, distribution, base_seed, seed_role, source, target_idx, margin)
-        results = _map_replicas(_mu_replica, ctx, replicas, workers)
-        if not any(flag for _, flag in results):
-            break
-        enlargements += 1
-        if enlargements > max_enlargements:
-            raise EstimatorError(
-                f"boundary flags persisted after {max_enlargements} window enlargements")
-        radius += max(2, radius // 2)
+    u0 = lattice.base.vertices[0]
+    results, _, radius, enlargements = _unflagged_replicas(
+        lattice, realization, distribution,
+        max(abs(c) for c in step) * k_max + margin + slack_layers,
+        lambda w: [(u0, tuple(k * c for c in step)) for k in range(1, k_max + 1)],
+        lambda times, flags: flags[-1],
+        replicas, base_seed, seed_role, margin, workers, max_vertices, max_enlargements)
 
     norm = k_max * n_scale
     samples = tuple(per_k[-1] / norm for per_k, _ in results)
@@ -300,6 +320,40 @@ class ShapeEstimate:
     lattice_id: str
     samples: np.ndarray | None = None  # replicas x n_dirs normalized values
 
+    @classmethod
+    def from_samples(cls, realization: Realization, directions: Sequence[tuple[int, ...]],
+                     samples: np.ndarray, zero_threshold: float, **meta) -> "ShapeEstimate":
+        """Assemble the shape from a replicas x directions matrix of normalized times.
+
+        meta carries the bookkeeping fields (k_max, replicas, radius_used,
+        base_seed, distribution_label, lattice_id).
+        """
+        rho = realization.period_matrix()
+        d = len(rho)
+        n = len(directions)
+        mu = np.empty(n)
+        se = np.empty(n)
+        for j in range(n):
+            mu[j], se[j] = _mean_se(samples[:, j].tolist())
+        lattice_points = np.array([rho @ np.array(z, dtype=float) for z in directions])
+        lens = np.linalg.norm(lattice_points, axis=1)
+        mu_unit = mu / lens
+        unbounded = bool(np.all(mu_unit < zero_threshold))
+        if unbounded:
+            radial = np.full(n, math.inf)
+            points = np.full((n, d), math.inf)
+            hull = None
+        else:
+            safe_mu = np.maximum(mu, 1e-300)
+            radial = lens / safe_mu
+            points = lattice_points / safe_mu[:, None]
+            hull = convex_hull_2d(points) if d == 2 else None
+        return cls(dim=d, directions=tuple(directions),
+                   unit_directions=lattice_points / lens[:, None], mu=mu, std_errors=se,
+                   mu_unit=mu_unit, radial=radial, points=points, hull=hull,
+                   unbounded=unbounded, zero_threshold=zero_threshold, samples=samples,
+                   **meta)
+
     def radial_interval(self, j: int, z: float = 3.0) -> tuple[float, float]:
         """CI for the radial extent along direction j, from mu +- z std errors."""
         scale = float(np.linalg.norm(self.points[j] * self.mu[j]))
@@ -338,15 +392,6 @@ def angular_direction_grid(realization: Realization, n_dirs: int,
     return dirs
 
 
-def _shape_replica(ctx, i):
-    window, distribution, base_seed, role, source, target_idx, margin = ctx
-    config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
-    res = passage_times(config, source, margin=margin)
-    vals = [float(res.times[t]) for t in target_idx]
-    flags = [bool(res.flags[t]) for t in target_idx]
-    return vals, flags
-
-
 def estimate_shape(lattice: CrystalLattice, realization: Realization,
                    distribution: TimeDistribution, n_dirs: int, k_max: int,
                    replicas: int, base_seed: int, *, max_coord: int = 2,
@@ -373,53 +418,18 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     if not dirs:
         raise EstimatorError("no directions to estimate")
 
-    source = (lattice.base.vertices[0], (0,) * d)
-    radius = k_max * max(max(abs(c) for c in z) for z in dirs) + margin + slack_layers
-    enlargements = 0
-    while True:
-        window = instantiate_window(lattice, realization, radius, max_vertices=max_vertices)
-        target_idx = [window.vertex_index[(source[0], tuple(k_max * c for c in z))]
-                      for z in dirs]
-        ctx = (window, distribution, base_seed, seed_role, source, target_idx, margin)
-        results = _map_replicas(_shape_replica, ctx, replicas, workers)
-        if not any(any(flags) for _, flags in results):
-            break
-        enlargements += 1
-        if enlargements > max_enlargements:
-            raise EstimatorError(
-                f"boundary flags persisted after {max_enlargements} window enlargements")
-        radius += max(2, radius // 2)
-
-    rho = realization.period_matrix()
-    n = len(dirs)
-    mu = np.empty(n)
-    se = np.empty(n)
-    samples = np.empty((replicas, n))
-    for j in range(n):
-        vals = [results[r][0][j] / k_max for r in range(replicas)]
-        samples[:, j] = vals
-        mu[j], se[j] = _mean_se(vals)
-    lattice_points = np.array([rho @ np.array(z, dtype=float) for z in dirs])
-    lens = np.linalg.norm(lattice_points, axis=1)
-    unit = lattice_points / lens[:, None]
-    mu_unit = mu / lens
-    unbounded = bool(np.all(mu_unit < zero_threshold))
-    if unbounded:
-        radial = np.full(n, math.inf)
-        points = np.full((n, d), math.inf)
-        hull = None
-    else:
-        safe_mu = np.maximum(mu, 1e-300)
-        radial = lens / safe_mu
-        points = lattice_points / safe_mu[:, None]
-        hull = convex_hull_2d(points) if d == 2 else None
-    return ShapeEstimate(
-        dim=d, directions=tuple(dirs), unit_directions=unit, mu=mu, std_errors=se,
-        mu_unit=mu_unit, radial=radial, points=points, hull=hull, unbounded=unbounded,
-        zero_threshold=zero_threshold, k_max=k_max, replicas=replicas,
-        radius_used=radius, base_seed=base_seed,
-        distribution_label=distribution.label(),
-        lattice_id=lattice_hash(lattice, realization), samples=samples)
+    u0 = lattice.base.vertices[0]
+    results, _, radius, _ = _unflagged_replicas(
+        lattice, realization, distribution,
+        k_max * max(max(abs(c) for c in z) for z in dirs) + margin + slack_layers,
+        lambda w: [(u0, tuple(k_max * c for c in z)) for z in dirs],
+        lambda times, flags: any(flags),
+        replicas, base_seed, seed_role, margin, workers, max_vertices, max_enlargements)
+    samples = np.array([times for times, _ in results]) / k_max
+    return ShapeEstimate.from_samples(
+        realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
+        radius_used=radius, base_seed=base_seed, distribution_label=distribution.label(),
+        lattice_id=lattice_hash(lattice, realization))
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +544,6 @@ class MonotonicityReport:
         return all(e.passed for e in self.entries)
 
 
-def _affine_replica(ctx, i):
-    window, distribution, base_seed, role, source, fiber_idx, margin = ctx
-    config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
-    res = passage_times(config, source, margin=margin)
-    times = res.times[fiber_idx]
-    j = int(np.argmin(times))
-    return float(times[j]), bool(res.flags[fiber_idx[j]])
-
-
 def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
                             kernel: KernelSublattice, distribution: TimeDistribution,
                             quotient_directions: Sequence[Sequence], k_max: int,
@@ -566,9 +567,8 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         if not check.finite:
             raise MomentConditionError(check.witness)
 
-    rho = realization.period_matrix()
-    rho_inv = np.linalg.inv(rho)
-    source = (lattice.base.vertices[0], (0,) * lattice.dim)
+    rho_inv = np.linalg.inv(realization.period_matrix())
+    u0 = lattice.base.vertices[0]
     entries = []
     for direction in quotient_directions:
         coords, n_scale, step1 = rational_direction(direction)
@@ -585,29 +585,15 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         foot = qdata.p_matrix.T @ (qdata.sub_realization.period_matrix()
                                    @ np.array(target1, dtype=float))
         z_near = rho_inv @ foot
-        radius = int(np.ceil(np.max(np.abs(z_near)))) + margin + slack_layers + fiber_halo
-        enlargements = 0
-        while True:
-            window = instantiate_window(lattice, realization, radius,
-                                        max_vertices=max_vertices)
-            proj = np.array([qdata.project_index(z) for (_, z) in window.vertices])
-            base_ok = np.array([u == source[0] for (u, _) in window.vertices])
-            fiber_idx = np.nonzero(base_ok & np.all(
-                proj == np.array(target1), axis=1))[0]
-            if len(fiber_idx) == 0:
-                raise EstimatorError("no fiber vertex inside the cover window")
-            ctx = (window, distribution, base_seed, 0, source, fiber_idx, margin)
-            results = _map_replicas(_affine_replica, ctx, replicas, workers)
-            if not any(flag for _, flag in results):
-                break
-            enlargements += 1
-            if enlargements > max_enlargements:
-                raise EstimatorError(
-                    f"boundary flags persisted after {max_enlargements} enlargements")
-            radius += max(2, radius // 2)
+        results, fiber_idx, radius, _ = _unflagged_replicas(
+            lattice, realization, distribution,
+            int(np.ceil(np.max(np.abs(z_near)))) + margin + slack_layers + fiber_halo,
+            lambda w: covering_fiber(qdata, (u0, target1), w),
+            lambda times, flags: flags[int(np.argmin(times))],
+            replicas, base_seed, 0, margin, workers, max_vertices, max_enlargements)
 
         norm = k_max * n_scale
-        vals = [t / norm for t, _ in results]
+        vals = [min(times) / norm for times, _ in results]
         mu_a, se_a = _mean_se(vals)
         slack = max(slack_z * math.sqrt(se_a ** 2 + est1.std_error ** 2), 1e-9)
         entries.append(MonotonicityEntry(
@@ -726,8 +712,7 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         raise EstimatorError(f"target {target1} is outside the quotient window")
     target1_idx = window1.vertex_index[target1]
     source_x = (u0, (0,) * lattice.dim)
-    fiber_idx = [i for i, (u, z) in enumerate(window_x.vertices)
-                 if u == u0 and qdata.project_index(z) == target1[1]]
+    fiber_idx = [window_x.vertex_index[v] for v in covering_fiber(qdata, target1, window_x)]
     if not fiber_idx:
         raise EstimatorError("fiber of the target is empty in the cover window")
     thresholds = [_exact_fraction(t) for t in t_grid]

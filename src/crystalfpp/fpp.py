@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import Vertex, Window, closest_vertex
+from .quotient import _gram_schmidt
 
 
 class DistributionError(ValueError):
@@ -52,6 +53,8 @@ class TimeDistribution:
         if self.family not in FAMILIES:
             raise DistributionError(f"unknown family {self.family!r}")
         p = self.params
+        if not all(math.isfinite(x) for x in p):
+            raise DistributionError(f"{self.family} parameters must be finite, got {p}")
         if self.family == "deterministic":
             if len(p) != 1 or p[0] < 0:
                 raise DistributionError("deterministic needs one nonnegative value")
@@ -92,7 +95,10 @@ class TimeDistribution:
     def parse(spec: str) -> "TimeDistribution":
         """Parse 'family:value,value' strings, e.g. 'exponential:1'."""
         name, _, rest = spec.partition(":")
-        args = [float(x) for x in rest.split(",") if x.strip()] if rest else []
+        try:
+            args = [float(x) for x in rest.split(",") if x.strip()]
+        except ValueError:
+            raise DistributionError(f"non-numeric parameter in {spec!r}") from None
         ctor = {
             "deterministic": TimeDistribution.deterministic,
             "bernoulli": TimeDistribution.bernoulli,
@@ -102,7 +108,11 @@ class TimeDistribution:
         }.get(name.strip())
         if ctor is None:
             raise DistributionError(f"unknown family {name!r}")
-        return ctor(*args)
+        try:
+            return ctor(*args)
+        except TypeError:
+            raise DistributionError(
+                f"wrong number of parameters for {name.strip()}: {spec!r}") from None
 
     def atom_at_zero(self) -> float:
         """Analytic mass of the law at exactly zero."""
@@ -332,15 +342,7 @@ def passage_to_affine(config: Configuration, x: Sequence[float],
     point0, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
     if not np.allclose(normals @ point0, offsets, atol=1e-9):
         raise ValueError("inconsistent affine constraints")
-    ortho = []
-    for row in normals:
-        w = row.astype(float)
-        for b in ortho:
-            w = w - (b @ w) * b
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-12:
-            ortho.append(w / norm)
-    ortho = np.array(ortho)
+    ortho = _gram_schmidt(normals.T)
     resid = (window.coords - point0) @ ortho.T
     dist = np.linalg.norm(resid, axis=1)
     snap = window.min_edge_length() / 2.0
@@ -377,8 +379,7 @@ def restricted_passage(config: Configuration, x: Sequence[float], y: Sequence[fl
     a = closest_vertex(x, window)
     b = closest_vertex(y, window)
     lo, hi = sorted((a, b), key=lambda v: (v[1], v[0]))
-    allowed = np.array([all(-sub_radius <= c <= sub_radius for c in z)
-                        for (_, z) in window.vertices], dtype=bool)
+    allowed = window.interior_mask(window.radius - sub_radius)
     if not allowed[window.vertex_index[lo]] or not allowed[window.vertex_index[hi]]:
         raise ValueError("endpoints must lie inside the sub-window")
     dist = _dijkstra(window, config.times, window.vertex_index[lo], allowed=allowed)

@@ -180,9 +180,10 @@ class Window:
         self.vertices: tuple[Vertex, ...] = tuple(
             (u, z) for z in self.indices for u in base.vertices)
         self.vertex_index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        self._index_array = np.array(self.indices, dtype=int)
 
         pos = realization.position_array(base.vertices)
-        zmat = np.array(self.indices, dtype=float) @ realization.period_matrix().T
+        zmat = self._index_array @ realization.period_matrix().T
         nb = len(base.vertices)
         self.coords = (np.repeat(zmat, nb, axis=0)
                        + np.tile(pos, (len(self.indices), 1)))
@@ -232,11 +233,8 @@ class Window:
 
     def interior_mask(self, margin: int) -> np.ndarray:
         """True for vertices at least `margin` layers away from the boundary."""
-        bound = self.radius - margin
-        mask = np.empty(len(self.vertices), dtype=bool)
-        for i, (_, z) in enumerate(self.vertices):
-            mask[i] = all(-bound <= c <= bound for c in z)
-        return mask
+        inside = np.all(np.abs(self._index_array) <= self.radius - margin, axis=1)
+        return np.repeat(inside, len(self.lattice.base.vertices))
 
     def min_edge_length(self) -> float:
         best = math.inf
@@ -555,9 +553,13 @@ def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
     lines = [s for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise LatticeError(f"missing format header {FORMAT_HEADER!r}")
-    if not lines[1].startswith("dim "):
+    tok = lines[1].split() if len(lines) > 1 else []
+    if len(tok) < 2 or tok[0] != "dim":
         raise LatticeError("missing dim record")
-    dim = int(lines[1].split()[1])
+    try:
+        dim = int(tok[1])
+    except ValueError:
+        raise LatticeError(f"dim record needs an integer, got {tok[1]!r}") from None
     graph, voltage, rest = graph_from_lines(lines[2:], dim=dim)
     if voltage is None:
         raise LatticeError("lattice file lacks voltage vectors")

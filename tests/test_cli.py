@@ -85,6 +85,20 @@ class TestExitCodes:
         summary = (out / "summary.txt").read_text()
         assert "verdict=pass" in summary
 
+    @pytest.mark.parametrize("spec", ["exponential:nan", "deterministic:inf",
+                                      "exponential:", "uniform:0,inf"])
+    def test_bad_distribution_spec_exits_one_without_artifacts(self, tmp_path, capsys,
+                                                                spec):
+        out = tmp_path / "bad"
+        code = run_cli(["mu", "--preset", "cubic2", "--dist", spec, "--direction", "1,0",
+                        "--k-max", "2", "--replicas", "2", "--out", str(out),
+                        "--threads", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_fail_verdict_exits_two(self):
         # diagram verification with an impossible tolerance forces the
         # fail-verdict path deterministically
@@ -201,13 +215,15 @@ class TestSvg:
             render_shape_svg(shape_empty)
 
     def test_render_command_from_csv(self, tmp_path):
-        out = tmp_path / "s"
-        run_cli(["shape", "--preset", "cubic2", "--dist", "deterministic:1",
-                 "--dirs", "8", "--k-max", "6", "--replicas", "2", "--seed", "1",
-                 "--out", str(out), "--threads", "1"])
-        out2 = tmp_path / "render"
-        code = run_cli(["render", "--preset", "cubic2",
-                        "--input-csv", str(out / "detail.csv"),
-                        "--out", str(out2), "--threads", "1"])
-        assert code == 0
-        assert (out2 / "shape.svg").read_text() == (out / "shape.svg").read_text()
+        # bernoulli:1 makes every time zero: the unbounded-shape regime
+        for case, dist in enumerate(["deterministic:1", "bernoulli:1"]):
+            out = tmp_path / f"s{case}"
+            run_cli(["shape", "--preset", "cubic2", "--dist", dist,
+                     "--dirs", "8", "--k-max", "6", "--replicas", "2", "--seed", "1",
+                     "--out", str(out), "--threads", "1"])
+            out2 = tmp_path / f"render{case}"
+            code = run_cli(["render", "--preset", "cubic2",
+                            "--input-csv", str(out / "detail.csv"),
+                            "--out", str(out2), "--threads", "1"])
+            assert code == 0
+            assert (out2 / "shape.svg").read_text() == (out / "shape.svg").read_text()

@@ -6,8 +6,10 @@ import pytest
 
 from oracles import bfs_hops, zero_cluster_spans
 
+import crystalfpp.estimate as estimate_module
 from crystalfpp.estimate import (
     BudgetError,
+    EstimatorError,
     angular_direction_grid,
     convex_hull_2d,
     distance_to_polygon,
@@ -361,3 +363,68 @@ class TestPositivity:
         assert report.nonincreasing_ok
         assert 0.9 in report.zero_ps
         assert 0.1 not in report.zero_ps
+
+
+# Each estimator on cubic2 with exponential(1) times and no slack layers, so the
+# first window is too small: (run(**options) -> reported radius, the
+# (lattice dim, radius) of every replica batch).  The monotonicity run maps the
+# quotient replicas once on the line, then the cover replicas on two windows.
+def _mu_run(**options):
+    lat, real = build_preset("cubic2")
+    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3, slack_layers=0,
+                                  **options).radius_used
+
+
+def _shape_run(**options):
+    lat, real = build_preset("cubic2")
+    return estimate_shape(lat, real, EXP1, 8, 3, 10, 1, slack_layers=0,
+                          **options).radius_used
+
+
+def _monotonicity_run(**options):
+    lat, real = build_preset("cubic2")
+    report = monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
+                                     [(2,)], 3, 10, 1, slack_layers=0, fiber_halo=0,
+                                     **options)
+    return report.entries[0].radius_cover
+
+
+ENLARGING_RUNS = {
+    "mu": (_mu_run, [(2, 6), (2, 9)]),
+    "shape": (_shape_run, [(2, 4), (2, 6)]),
+    "monotonicity": (_monotonicity_run, [(1, 7), (2, 5), (2, 7)]),
+}
+
+
+class TestWindowEnlargement:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """(lattice dim, window radius) of every _map_replicas call, in order."""
+        seen = []
+        original = estimate_module._map_replicas
+
+        def counting(fn, ctx, n, workers):
+            seen.append((ctx[0].lattice.dim, ctx[0].radius))
+            return original(fn, ctx, n, workers)
+
+        monkeypatch.setattr(estimate_module, "_map_replicas", counting)
+        return seen
+
+    def test_time_constant_enlarges_once(self, batches):
+        lat, real = build_preset("cubic2")
+        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3, slack_layers=0)
+        assert est.enlargements == 1
+        assert est.radius_used == 9  # 6 + max(2, 6 // 2)
+        assert len(batches) == est.enlargements + 1
+
+    @pytest.mark.parametrize("name", ENLARGING_RUNS)
+    def test_one_batch_per_window_and_the_radius_rule(self, batches, name):
+        run, expected = ENLARGING_RUNS[name]
+        assert run() == expected[-1][1]
+        assert batches == expected
+
+    @pytest.mark.parametrize("name", ENLARGING_RUNS)
+    def test_no_enlargement_allowed_raises(self, name):
+        run, _ = ENLARGING_RUNS[name]
+        with pytest.raises(EstimatorError, match="boundary flags persisted"):
+            run(max_enlargements=0)

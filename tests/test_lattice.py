@@ -153,6 +153,15 @@ class TestWindow:
             assert np.max(np.abs(b - (a + rho @ np.array(shift, float)))) < 1e-12
 
     @pytest.mark.parametrize("preset", PRESETS)
+    def test_interior_mask_matches_per_vertex_rule(self, preset):
+        lat, real = build_preset(preset)
+        win = instantiate_window(lat, real, 3)
+        for margin in range(-1, 6):
+            bound = win.radius - margin
+            expected = [all(-bound <= c <= bound for c in z) for _, z in win.vertices]
+            assert win.interior_mask(margin).tolist() == expected
+
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_presets_validate_up_to_r6(self, preset):
         from oracles import bfs_hops
 
@@ -279,3 +288,9 @@ class TestSerialization:
     def test_header_required(self):
         with pytest.raises(LatticeError):
             lattice_from_text("dim 2\n")
+
+    @pytest.mark.parametrize("text", ["crystal-lattice 1\n", "crystal-lattice 1\ndim\n",
+                                      "crystal-lattice 1\ndim x\n"])
+    def test_truncated_or_malformed_dim_rejected(self, text):
+        with pytest.raises(LatticeError, match="dim"):
+            lattice_from_text(text)
