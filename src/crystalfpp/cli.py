@@ -34,7 +34,7 @@ from .estimate import (
     monotonicity_experiment,
     positivity_scan,
 )
-from .fpp import DistributionError, MomentConditionError, TimeDistribution
+from .fpp import FAMILIES, DistributionError, MomentConditionError, TimeDistribution
 from .graph_core import GraphError
 from .lattice import (
     LatticeError,
@@ -53,32 +53,6 @@ class ConfigError(ValueError):
     pass
 
 
-_KNOWN_KEYS = {
-    "experiment", "preset", "lattice_file", "kernel", "distribution",
-    "direction", "directions", "k_max", "replicas", "n_dirs", "t_grid",
-    "p_grid", "base_seed", "out_dir", "threads", "slack_std_errors",
-    "max_coord", "target_index", "mode", "r_quotient", "r_cover", "budget",
-    "zero_threshold", "radius", "input_csv", "tolerance",
-}
-
-_DEFAULTS = {
-    "k_max": 20,
-    "replicas": 50,
-    "n_dirs": 16,
-    "base_seed": 1,
-    "out_dir": "out",
-    "slack_std_errors": 3.0,
-    "max_coord": 2,
-    "mode": "exhaustive",
-    "r_quotient": 1,
-    "r_cover": 1,
-    "budget": 1 << 22,
-    "zero_threshold": 0.02,
-    "radius": 3,
-    "tolerance": 1e-9,
-}
-
-
 def config_schema() -> dict:
     """The JSON schema shipped with the package (config_schema.json)."""
     import importlib.resources
@@ -87,45 +61,74 @@ def config_schema() -> dict:
     return json.loads(ref.read_text())
 
 
+def _read_input(path: str) -> str:
+    """Text of an input file; an unreadable path is a configuration error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
-    """Merge config file and flag overrides; flags win.  Unknown keys reject."""
+    """Merge config file and flag overrides; flags win.
+
+    The schema's properties are the known keys (others reject) and carry the
+    defaults.
+    """
+    properties = config_schema()["properties"]
     config: dict = {}
     if path:
         try:
-            with open(path) as fh:
-                config = json.load(fh)
+            config = json.loads(_read_input(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(config, dict):
             raise ConfigError(f"config {path}: top level must be an object")
-        unknown = sorted(set(config) - _KNOWN_KEYS)
+        unknown = sorted(set(config) - set(properties))
         if unknown:
             raise ConfigError(f"config {path}: unknown keys {', '.join(unknown)}")
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    merged = dict(_DEFAULTS)
+    merged = {key: spec["default"] for key, spec in properties.items() if "default" in spec}
     merged.update(config)
     return merged
 
 
 def _parse_kernel(spec) -> list[list[int]]:
     if isinstance(spec, str):
-        cols = [c for c in spec.split(";") if c.strip()]
-        return [[int(x) for x in col.split(",")] for col in cols]
-    return [[int(x) for x in col] for col in spec]
+        spec = [col.split(",") for col in spec.split(";") if col.strip()]
+    try:
+        return [[int(x) for x in col] for col in spec]
+    except TypeError:
+        raise ConfigError(f"kernel must be 'a,b;c,d' or a list of columns, got {spec!r}") from None
 
 
 def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
     if isinstance(spec, str):
         return tuple(Fraction(x.strip()) for x in spec.split(","))
-    return tuple(Fraction(str(x)) for x in spec)
+    try:
+        return tuple(Fraction(str(x)) for x in spec)
+    except TypeError:
+        raise ConfigError(f"direction must be 'a,b' or a list of numbers, got {spec!r}") from None
 
 
 def _parse_float_list(spec) -> list[float]:
     if isinstance(spec, str):
         return [float(x) for x in spec.split(",") if x.strip()]
-    return [float(x) for x in spec]
+    try:
+        return [float(x) for x in spec]
+    except TypeError:
+        raise ConfigError(f"grid must be 'a,b,...' or a list of numbers, got {spec!r}") from None
+
+
+def _parse_directions(config: dict) -> list[tuple[Fraction, ...]]:
+    dirs = config.get("directions") or ([config["direction"]]
+                                        if config.get("direction") else [])
+    if not isinstance(dirs, list):
+        raise ConfigError(f"directions must be a list, got {dirs!r}")
+    return [_parse_fraction_vector(d) for d in dirs]
 
 
 def _resolve_lattice(config: dict):
@@ -136,8 +139,7 @@ def _resolve_lattice(config: dict):
     if preset:
         return build_preset(preset)
     if path:
-        with open(path) as fh:
-            return lattice_from_text(fh.read())
+        return lattice_from_text(_read_input(path))
     raise ConfigError("a lattice is required: set preset or lattice_file")
 
 
@@ -147,12 +149,16 @@ def _resolve_distribution(config: dict) -> TimeDistribution:
         raise ConfigError("a distribution is required, e.g. exponential:1")
     if isinstance(spec, str):
         return TimeDistribution.parse(spec)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"distribution must be 'family:params' or an object, got {spec!r}")
     family = spec.get("family")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    ctor = getattr(TimeDistribution, str(family), None)
-    if ctor is None:
+    if family not in FAMILIES:
         raise ConfigError(f"unknown distribution family {family!r}")
-    return ctor(**params)
+    params = {k: v for k, v in spec.items() if k != "family"}
+    try:
+        return getattr(TimeDistribution, family)(**params)
+    except TypeError:
+        raise DistributionError(f"bad parameters {sorted(params)} for {family}") from None
 
 
 def _threads(config: dict) -> int:
@@ -328,15 +334,13 @@ def _run_quotient(config: dict) -> ExperimentResult:
 def _run_mu(config: dict) -> ExperimentResult:
     lat, real = _resolve_lattice(config)
     dist = _resolve_distribution(config)
-    dirs = config.get("directions") or ([config["direction"]]
-                                        if config.get("direction") else None)
+    dirs = _parse_directions(config)
     if not dirs:
         raise ConfigError("mu needs direction or directions")
     summary = _provenance(config, lat, real, dist)
     header = ["direction", "replica", "normalized_time"]
     rows: list[list] = []
-    for d in dirs:
-        vec = _parse_fraction_vector(d)
+    for vec in dirs:
         est = estimate_time_constant(
             lat, real, dist, vec, int(config["k_max"]), int(config["replicas"]),
             int(config["base_seed"]), workers=_threads(config))
@@ -391,12 +395,11 @@ def _run_monotonicity(config: dict) -> ExperimentResult:
     if config.get("kernel") is None:
         raise ConfigError("monotonicity needs a kernel")
     kernel = KernelSublattice.of(_parse_kernel(config["kernel"]), lat.dim)
-    dirs = config.get("directions") or ([config["direction"]]
-                                        if config.get("direction") else None)
+    dirs = _parse_directions(config)
     if not dirs:
         raise ConfigError("monotonicity needs direction(s) on the quotient")
     report = monotonicity_experiment(
-        lat, real, kernel, dist, [_parse_fraction_vector(d) for d in dirs],
+        lat, real, kernel, dist, dirs,
         int(config["k_max"]), int(config["replicas"]), int(config["base_seed"]),
         slack_z=float(config["slack_std_errors"]), workers=_threads(config))
     summary = _provenance(config, lat, real, dist)
@@ -482,13 +485,12 @@ def _run_render(config: dict) -> ExperimentResult:
     import csv as _csv
 
     by_dir: dict[int, dict] = {}
-    with open(path) as fh:
-        for row in _csv.reader(fh):
-            if not row or row[0] == "dir_index":
-                continue
-            j = int(row[0])
-            entry = by_dir.setdefault(j, {"direction": row[1], "values": []})
-            entry["values"].append(float(row[3]))
+    for row in _csv.reader(io.StringIO(_read_input(path))):
+        if not row or row[0] == "dir_index":
+            continue
+        j = int(row[0])
+        entry = by_dir.setdefault(j, {"direction": row[1], "values": []})
+        entry["values"].append(float(row[3]))
     if not by_dir:
         raise ConfigError(f"{path}: no shape rows found")
     dirs = [tuple(int(c) for c in by_dir[j]["direction"].split(","))

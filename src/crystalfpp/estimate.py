@@ -205,6 +205,19 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
         radius += max(2, radius // 2)
 
 
+def _moment_guard(lattice: CrystalLattice, realization: Realization,
+                  distribution: TimeDistribution,
+                  edge_connectivity: int | None = None) -> tuple[int, str]:
+    """Edge connectivity (estimated if not given) and the moment-check witness;
+    raises MomentConditionError when the moment condition fails."""
+    if edge_connectivity is None:
+        edge_connectivity = edge_connectivity_estimate(lattice, realization).value
+    check = moment_check(distribution, edge_connectivity, lattice.dim)
+    if not check.finite:
+        raise MomentConditionError(check.witness)
+    return edge_connectivity, check.witness
+
+
 # ---------------------------------------------------------------------------
 # time constants
 
@@ -236,9 +249,6 @@ class TimeConstantEstimate:
     edge_connectivity: int
     moment_witness: str
 
-    def normalizer(self) -> int:
-        return self.k_max * self.scale
-
 
 def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
                            distribution: TimeDistribution, direction: Sequence,
@@ -259,11 +269,8 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     coords, n_scale, step = rational_direction(direction)
     if len(coords) != lattice.dim:
         raise ValueError(f"direction has dimension {len(coords)}, lattice {lattice.dim}")
-    if edge_connectivity is None:
-        edge_connectivity = edge_connectivity_estimate(lattice, realization).value
-    check = moment_check(distribution, edge_connectivity, lattice.dim)
-    if not check.finite:
-        raise MomentConditionError(check.witness)
+    edge_connectivity, witness = _moment_guard(lattice, realization, distribution,
+                                               edge_connectivity)
 
     u0 = lattice.base.vertices[0]
     results, _, radius, enlargements = _unflagged_replicas(
@@ -284,7 +291,7 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
         enlargements=enlargements, base_seed=base_seed, seed_role=seed_role,
         distribution_label=distribution.label(),
         lattice_id=lattice_hash(lattice, realization),
-        edge_connectivity=edge_connectivity, moment_witness=check.witness)
+        edge_connectivity=edge_connectivity, moment_witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +411,7 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     One shortest-path run per replica serves every direction (single source).
     """
     d = lattice.dim
-    if edge_connectivity is None:
-        edge_connectivity = edge_connectivity_estimate(lattice, realization).value
-    check = moment_check(distribution, edge_connectivity, d)
-    if not check.finite:
-        raise MomentConditionError(check.witness)
+    _moment_guard(lattice, realization, distribution, edge_connectivity)
     if d == 2:
         dirs = angular_direction_grid(realization, n_dirs, max_coord)
     elif d == 1:
@@ -559,13 +562,8 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
     shapes predicts affine <= quotient within statistical slack.
     """
     qdata = build_quotient(lattice, realization, kernel)
-    l_cover = edge_connectivity_estimate(lattice, realization).value
-    l_quot = edge_connectivity_estimate(qdata.sub_lattice, qdata.sub_realization).value
-    for lat, l, power in ((lattice, l_cover, lattice.dim),
-                          (qdata.sub_lattice, l_quot, qdata.sub_lattice.dim)):
-        check = moment_check(distribution, l, power)
-        if not check.finite:
-            raise MomentConditionError(check.witness)
+    _moment_guard(lattice, realization, distribution)
+    l_quot, _ = _moment_guard(qdata.sub_lattice, qdata.sub_realization, distribution)
 
     rho_inv = np.linalg.inv(realization.period_matrix())
     u0 = lattice.base.vertices[0]

@@ -99,17 +99,10 @@ class TimeDistribution:
             args = [float(x) for x in rest.split(",") if x.strip()]
         except ValueError:
             raise DistributionError(f"non-numeric parameter in {spec!r}") from None
-        ctor = {
-            "deterministic": TimeDistribution.deterministic,
-            "bernoulli": TimeDistribution.bernoulli,
-            "uniform": TimeDistribution.uniform,
-            "exponential": TimeDistribution.exponential,
-            "pareto": TimeDistribution.pareto,
-        }.get(name.strip())
-        if ctor is None:
+        if name.strip() not in FAMILIES:
             raise DistributionError(f"unknown family {name!r}")
         try:
-            return ctor(*args)
+            return getattr(TimeDistribution, name.strip())(*args)
         except TypeError:
             raise DistributionError(
                 f"wrong number of parameters for {name.strip()}: {spec!r}") from None
@@ -280,9 +273,6 @@ class PassageResult:
     def flags(self) -> np.ndarray:
         """True where excluding the margin changes the distance."""
         return self.times != self.restricted_times
-
-    def times_by_vertex(self) -> dict:
-        return {v: float(t) for v, t in zip(self.window.vertices, self.times)}
 
 
 def passage_times(config: Configuration, source: Vertex, margin: int = 1) -> PassageResult:

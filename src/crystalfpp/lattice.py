@@ -47,7 +47,7 @@ class CrystalLattice:
     """
 
     def __init__(self, base: FiniteGraph, dim: int,
-                 voltage: Mapping[int, tuple[int, ...]], check: bool = True):
+                 voltage: Mapping[int, tuple[int, ...]]):
         if dim < 1:
             raise LatticeError("lattice dimension must be positive")
         self.base = base
@@ -55,10 +55,6 @@ class CrystalLattice:
         self.voltage: dict[int, tuple[int, ...]] = {
             eid: tuple(int(c) for c in voltage[eid]) for eid in base.half_edges
         }
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
         for eid, e in self.base.half_edges.items():
             vec = self.voltage.get(eid)
             if vec is None or len(vec) != self.dim:
@@ -90,10 +86,6 @@ class CrystalLattice:
         cols = [list(c) for c in zip(*cycles)]  # dim x ncycles
         factors = invariant_factors(cols)
         return len(factors) == self.dim and all(f == 1 for f in factors)
-
-    def orbit_voltages(self) -> dict[int, tuple[int, ...]]:
-        """Voltage per undirected orbit, on the canonical representative."""
-        return {o: self.voltage[o] for o in self.base.edge_orbits()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,9 +128,6 @@ class Realization:
     def position_array(self, vertices: Sequence[int]) -> np.ndarray:
         return np.array([self.positions[u] for u in vertices], dtype=float)
 
-    def point_of(self, u: int, z: Sequence[int]) -> np.ndarray:
-        return np.array(self.positions[u]) + self.period_matrix() @ np.array(z, dtype=float)
-
     def translated(self, b: Sequence[float]) -> "Realization":
         off = tuple(float(c) for c in b)
         return Realization({u: tuple(a + o for a, o in zip(p, off))
@@ -158,7 +147,9 @@ class Window:
     """Finite truncation of the lattice over translation indices in [-R, R]^d.
 
     Vertices are ordered by (index, base vertex); undirected edge orbits are
-    keyed by (canonical half-edge id, origin index) and ordered likewise.
+    keyed by (canonical half-edge id, origin index) and ordered likewise.  The
+    edge table orbit_ends holds each orbit's two endpoint vertex indices in
+    orbit_keys order; the adjacency and every edge-level computation read it.
     Immutable after construction.
     """
 
@@ -179,53 +170,61 @@ class Window:
             itertools.product(range(-radius, radius + 1), repeat=d))
         self.vertices: tuple[Vertex, ...] = tuple(
             (u, z) for z in self.indices for u in base.vertices)
-        self.vertex_index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        self._index_array = np.array(self.indices, dtype=int)
+        index_array = np.array(self.indices, dtype=int)
+        nb = len(base.vertices)
+        self.vertex_translations: np.ndarray = np.repeat(index_array, nb, axis=0)  # n x d
 
         pos = realization.position_array(base.vertices)
-        zmat = self._index_array @ realization.period_matrix().T
-        nb = len(base.vertices)
+        zmat = index_array @ realization.period_matrix().T
         self.coords = (np.repeat(zmat, nb, axis=0)
                        + np.tile(pos, (len(self.indices), 1)))
 
+        # edge table: half-edge eid at index z stays when z + voltage is in the box, and
+        # canonical half-edges give the orbits; a voltage shifts a flat index by strides @ v
+        slot = {u: i for i, u in enumerate(base.vertices)}
+        strides = (2 * radius + 1) ** np.arange(d - 1, -1, -1)
         orbit_keys: list[tuple[int, tuple[int, ...]]] = []
+        ends = []
         directed = 0
-        for (u, z) in self.vertices:
-            for eid in base.out_edges(u):
-                e = base.half_edges[eid]
-                z2 = tuple(a + b for a, b in zip(z, lattice.voltage[eid]))
-                if not self._inside(z2):
-                    continue
-                directed += 1
-                if eid <= e.inverse:
-                    orbit_keys.append((eid, z))
-        orbit_keys.sort()
+        for eid, e in base.half_edges.items():
+            vec = np.array(lattice.voltage[eid], dtype=int)
+            origins = np.flatnonzero(np.all(np.abs(index_array + vec) <= radius, axis=1))
+            directed += len(origins)
+            if eid < e.inverse:
+                orbit_keys += [(eid, self.indices[i]) for i in origins.tolist()]
+                ends.append(np.column_stack((origins * nb + slot[e.origin],
+                                             (origins + strides @ vec) * nb + slot[e.terminus])))
         if 2 * len(orbit_keys) != directed:
             raise LatticeError("edge orbit count does not halve the directed instance count")
         self.orbit_keys: tuple[tuple[int, tuple[int, ...]], ...] = tuple(orbit_keys)
-        self.orbit_index: dict[tuple[int, tuple[int, ...]], int] = {
-            k: i for i, k in enumerate(orbit_keys)}
+        self.orbit_ends: np.ndarray = np.concatenate(ends, dtype=np.int32)  # m x 2 vertex indices
 
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for oi, (eid, z) in enumerate(orbit_keys):
-            e = base.half_edges[eid]
-            z2 = tuple(a + b for a, b in zip(z, lattice.voltage[eid]))
-            a = self.vertex_index[(e.origin, z)]
-            b = self.vertex_index[(e.terminus, z2)]
-            adj[a].append((b, oi))
-            if b != a:
-                adj[b].append((a, oi))
+        # one Python int per number, shared by the index maps and the adjacency
+        nums = np.arange(max(len(self.vertices), len(orbit_keys))).astype(object)
+        self.vertex_index: dict[Vertex, int] = dict(zip(self.vertices, nums))
+        self.orbit_index: dict[tuple[int, tuple[int, ...]], int] = dict(zip(orbit_keys, nums))
+
+        # adjacency rows of sorted (neighbour, orbit) pairs, a loop listed once; the
+        # temporaries are dropped as soon as they are used, to keep peak memory low
+        a, b = self.orbit_ends.T
+        twice = np.flatnonzero(a != b).astype(np.int32)
+        rows, cols = np.concatenate((a, b[twice])), np.concatenate((b, a[twice]))
+        ids = np.concatenate((np.arange(len(a), dtype=np.int32), twice))
+        order = np.lexsort((ids, cols, rows))
+        counts = np.bincount(rows, minlength=len(self.vertices)).tolist()
+        del orbit_keys, ends, twice, rows
+        pairs = zip(nums[cols[order]], nums[ids[order]])
+        del cols, ids, order
         self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(row)) for row in adj)
-
-    def _inside(self, z: Sequence[int]) -> bool:
-        r = self.radius
-        return all(-r <= c <= r for c in z)
+            tuple(itertools.islice(pairs, k)) for k in counts)
 
     def contains(self, u: int, z: Sequence[int]) -> bool:
-        return self.lattice.base.has_vertex(u) and self._inside(tuple(z))
+        r = self.radius
+        return (self.lattice.base.has_vertex(u) and len(z) == self.lattice.dim
+                and all(-r <= c <= r for c in z))
 
     def orbit_endpoints(self, key: tuple[int, tuple[int, ...]]) -> tuple[Vertex, Vertex]:
+        """Endpoints of one orbit from its key alone (the rule orbit_ends tabulates)."""
         eid, z = key
         e = self.lattice.base.half_edges[eid]
         z2 = tuple(a + b for a, b in zip(z, self.lattice.voltage[eid]))
@@ -233,18 +232,15 @@ class Window:
 
     def interior_mask(self, margin: int) -> np.ndarray:
         """True for vertices at least `margin` layers away from the boundary."""
-        inside = np.all(np.abs(self._index_array) <= self.radius - margin, axis=1)
-        return np.repeat(inside, len(self.lattice.base.vertices))
+        return np.all(np.abs(self.vertex_translations) <= self.radius - margin, axis=1)
 
     def min_edge_length(self) -> float:
-        best = math.inf
-        for key in self.orbit_keys:
-            a, b = self.orbit_endpoints(key)
-            d = float(np.linalg.norm(self.coords[self.vertex_index[a]]
-                                     - self.coords[self.vertex_index[b]]))
-            if 1e-15 < d < best:
-                best = d
-        return best
+        a, b = self.orbit_ends.T
+        diff = (self.coords[a] - self.coords[b])[:, None, :]
+        # one dot product per row, rounded as np.linalg.norm rounds a single vector
+        lengths = np.sqrt((diff @ diff.transpose(0, 2, 1)).ravel())
+        lengths = lengths[lengths > 1e-15]
+        return float(lengths.min()) if len(lengths) else math.inf
 
     def __repr__(self) -> str:
         return (f"Window(R={self.radius}, {len(self.vertices)} vertices,"
@@ -454,15 +450,11 @@ def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization
     if len(interior_ids) < 2:
         raise LatticeError("window too small: no interior vertex pair")
     big = len(win.orbit_keys) + 1
+    ends = win.orbit_ends[win.orbit_ends[:, 0] != win.orbit_ends[:, 1]]
     arcs = []
-    for key in win.orbit_keys:
-        a, b = win.orbit_endpoints(key)
-        ia, ib = win.vertex_index[a], win.vertex_index[b]
-        if ia == ib:
-            continue
-        c = 1 if (interior[ia] and interior[ib]) else big
-        arcs.append((ia, ib, c))
-        arcs.append((ib, ia, c))
+    for (ia, ib), inner in zip(ends.tolist(), interior[ends].all(axis=1).tolist()):
+        c = 1 if inner else big
+        arcs += [(ia, ib, c), (ib, ia, c)]
     s = interior_ids[0]
     best = None
     for t in interior_ids[1:]:
@@ -519,9 +511,7 @@ def check_symmetry(lattice: CrystalLattice, realization: Realization,
     by_pair: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for eid, e in base.half_edges.items():
         by_pair.setdefault((e.origin, e.terminus), set()).add(lattice.voltage[eid])
-    for key in win.orbit_keys:
-        va, vb = win.orbit_endpoints(key)
-        ia, ib = win.vertex_index[va], win.vertex_index[vb]
+    for ia, ib in win.orbit_ends.tolist():
         if ia not in image or ib not in image:
             continue
         (ua, za), (ub, zb) = image[ia], image[ib]
@@ -568,6 +558,8 @@ def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
     for raw in rest:
         tok = raw.split()
         if tok[0] == "position":
+            if len(tok) < 2:
+                raise LatticeError(f"position record needs a vertex id: {raw!r}")
             positions[int(tok[1])] = tuple(float(x) for x in tok[2:])
         elif tok[0] == "period":
             period_rows.append(tuple(float(x) for x in tok[1:]))

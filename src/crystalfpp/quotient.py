@@ -311,10 +311,11 @@ def covering_fiber(qdata: QuotientData, quotient_vertex: tuple[int, tuple[int, .
         raise LatticeError(f"unknown base vertex {u1}")
     if quotient_window is not None and not quotient_window.contains(u1, z1):
         raise LatticeError(f"quotient vertex {quotient_vertex} is outside the quotient window")
-    target = tuple(int(c) for c in z1)
-    out = [v for v in window.vertices
-           if v[0] == u1 and qdata.project_index(v[1]) == target]
-    return out
+    if len(z1) != qdata.dim_quotient:
+        raise LatticeError(f"quotient vertex {quotient_vertex} has the wrong dimension")
+    hits = np.all(window.vertex_translations @ np.array(qdata.q, dtype=int).T
+                  == np.array(z1, dtype=int), axis=1)
+    return [window.vertices[i] for i in np.flatnonzero(hits) if window.vertices[i][0] == u1]
 
 
 @dataclass(frozen=True)
@@ -334,9 +335,9 @@ def verify_diagram(qdata: QuotientData, radius: int = 3, tol: float = 1e-9) -> D
     win = instantiate_window(qdata.lattice, qdata.realization, radius)
     lhs = win.coords @ qdata.p_matrix.T
     rho1 = qdata.sub_realization.period_matrix()
-    pos1 = {u: np.array(p) for u, p in qdata.sub_realization.positions.items()}
-    rhs = np.empty_like(lhs)
-    for i, (u, z) in enumerate(win.vertices):
-        rhs[i] = pos1[u] + rho1 @ np.array(qdata.project_index(z), dtype=float)
+    pos1 = qdata.sub_realization.position_array(qdata.lattice.base.vertices)
+    projected = (win.vertex_translations @ np.array(qdata.q, dtype=int).T).astype(float)
+    # a stack of matrix-vector products, rounded as rho1 @ z rounds one vertex
+    rhs = np.tile(pos1, (len(win.indices), 1)) + (rho1 @ projected[:, :, None])[:, :, 0]
     dev = float(np.max(np.linalg.norm(lhs - rhs, axis=1))) if len(win.vertices) else 0.0
     return DiagramReport(dev, tol, radius, len(win.vertices))

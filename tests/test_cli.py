@@ -6,6 +6,8 @@ import pytest
 
 from crystalfpp.cli import (
     ConfigError,
+    build_parser,
+    config_schema,
     load_config,
     main,
     render_shape_svg,
@@ -41,6 +43,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(path), {})
         assert "line 2" in str(err.value)
+
+    def test_every_flag_is_a_schema_key(self):
+        keys = set(config_schema()["properties"])
+        sub = next(a for a in build_parser()._actions if a.dest == "experiment")
+        assert "experiment" in keys
+        for name, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions} - {"help", "config"}
+            assert dests <= keys, (name, dests - keys)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -93,6 +103,47 @@ class TestExitCodes:
         code = run_cli(["mu", "--preset", "cubic2", "--dist", spec, "--direction", "1,0",
                         "--k-max", "2", "--replicas", "2", "--out", str(out),
                         "--threads", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    LATTICE_WITHOUT_POSITION_FIELDS = (
+        "crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
+        "halfedge 0 0 0 1 1\nhalfedge 1 0 0 0 -1\nposition\nperiod 1.0\n")
+
+    @pytest.mark.parametrize("argv,files", [
+        (["lattice", "--lattice-file", "{tmp}/missing.txt"], {}),
+        (["mu", "--preset", "cubic2", "--config", "{tmp}/missing.json"], {}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/missing.csv"], {}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"],
+         {"lat.txt": LATTICE_WITHOUT_POSITION_FIELDS}),
+        (["mu", "--config", "{tmp}/c.json"],
+         {"c.json": {"distribution": {"family": "exponential", "rat": 1}}}),
+        (["mu", "--config", "{tmp}/c.json"],
+         {"c.json": {"distribution": {"family": "exponential"}}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"distribution": {"family": "label"}}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"distribution": 5}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"direction": 5}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"directions": 5}}),
+        (["quotient", "--config", "{tmp}/c.json"], {"c.json": {"kernel": 5}}),
+        (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": 5}}),
+        (["lift-check", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "bernoulli:0.5",
+          "--target-index", "1,0"], {}),
+    ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
+            "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
+            "direction-number", "directions-number", "kernel-number", "grid-number",
+            "target-wrong-dim"])
+    def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
+        for name, content in files.items():
+            if name.endswith(".json"):
+                content = json.dumps({"preset": "cubic2", "direction": "1,0",
+                                      "distribution": "exponential:1", **content})
+            (tmp_path / name).write_text(content)
+        out = tmp_path / "bad"
+        code = run_cli([a.format(tmp=tmp_path) for a in argv]
+                       + ["--k-max", "2", "--replicas", "2", "--out", str(out), "--threads", "1"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -19,8 +19,27 @@ from crystalfpp.lattice import (
     lattice_hash,
     lattice_to_text,
 )
+from crystalfpp.quotient import KernelSublattice, build_quotient
 
 PRESETS = ("cubic2", "cubic3", "triangular", "honeycomb", "diamond")
+
+
+def lattice_case(name):
+    """A preset, the cubic2 quotient by (1,-1) (parallel loop orbits), or a
+    two-vertex lattice whose edges 0, 1 and 4 join the same vertex pair (4 in
+    the opposite orientation) and whose edge 5 is a zero-voltage loop."""
+    if name == "cubic2/(1,-1)":
+        q = build_quotient(*build_preset("cubic2"), KernelSublattice.of([(1, -1)], 2))
+        return q.sub_lattice, q.sub_realization
+    if name == "parallel-pair":
+        base = graph_from_edges(2, [(0, 1), (0, 1), (0, 1), (1, 0), (1, 0), (0, 0)])
+        voltage = {}
+        for i, vec in enumerate([(0, 0), (0, 0), (1, 0), (0, 1), (0, 0), (0, 0)]):
+            voltage[2 * i] = vec
+            voltage[2 * i + 1] = tuple(-c for c in vec)
+        return build_custom(base, voltage, {0: (0.0, 0.0), 1: (0.5, 0.3)},
+                            ((1.0, 0.0), (0.0, 1.0)))
+    return build_preset(name)
 
 
 class TestPresets:
@@ -126,9 +145,9 @@ class TestWindow:
         with pytest.raises(WindowLimitError):
             instantiate_window(lat, real, 100)
 
-    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("preset", PRESETS + ("cubic2/(1,-1)", "parallel-pair"))
     def test_orbit_halving_invariant(self, preset):
-        lat, real = build_preset(preset)
+        lat, real = lattice_case(preset)
         win = instantiate_window(lat, real, 2)
         directed = 0
         for (u, z) in win.vertices:
@@ -137,6 +156,20 @@ class TestWindow:
                 if win.contains(lat.base.half_edges[eid].terminus, z2):
                     directed += 1
         assert directed == 2 * len(win.orbit_keys)
+        # the edge table row by row against the per-key rule, and the adjacency
+        # rebuilt from that rule (a loop orbit is listed once)
+        assert list(win.orbit_keys) == sorted(win.orbit_keys)
+        assert win.orbit_ends.shape == (len(win.orbit_keys), 2)
+        adj = [[] for _ in win.vertices]
+        for i, key in enumerate(win.orbit_keys):
+            a, b = (win.vertex_index[v] for v in win.orbit_endpoints(key))
+            assert win.orbit_ends[i].tolist() == [a, b]
+            assert win.orbit_index[key] == i
+            adj[a].append((b, i))
+            if b != a:
+                adj[b].append((a, i))
+        assert win.adjacency == tuple(tuple(sorted(row)) for row in adj)
+        assert win.vertex_translations.tolist() == [list(z) for _, z in win.vertices]
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_equivariance(self, preset):

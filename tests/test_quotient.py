@@ -5,7 +5,7 @@ import pytest
 
 from oracles import exact_determinant, invariant_factors_by_minors
 
-from crystalfpp.lattice import Realization, build_preset, instantiate_window
+from crystalfpp.lattice import LatticeError, Realization, build_preset, instantiate_window
 from crystalfpp.quotient import (
     KernelSublattice,
     RankError,
@@ -180,6 +180,20 @@ class TestCoveringFiber:
         win = instantiate_window(lat, real, 2)
         fiber = covering_fiber(q, (1, (1, -1)), win)
         assert fiber == [(1, (1, -1))]
+
+    def test_matches_per_vertex_projection_rule(self):
+        # honeycomb has two base vertices, so the fiber must also match the
+        # base vertex, not only the projected index
+        lat, real = build_preset("honeycomb")
+        q = build_quotient(lat, real, KernelSublattice.of([(1, 1)], 2))
+        win = instantiate_window(lat, real, 3)
+        for u in lat.base.vertices:
+            for t in range(-7, 8):
+                expected = [v for v in win.vertices
+                            if v[0] == u and q.project_index(v[1]) == (t,)]
+                assert covering_fiber(q, (u, (t,)), win) == expected
+        with pytest.raises(LatticeError):
+            covering_fiber(q, (0, (1, 0)), win)
 
     def test_outside_quotient_window_rejected(self):
         qwin = instantiate_window(self.q.sub_lattice, self.q.sub_realization, 1)
