@@ -88,12 +88,26 @@ def load_config(path: str | None, overrides: dict) -> dict:
         unknown = sorted(set(config) - set(properties))
         if unknown:
             raise ConfigError(f"config {path}: unknown keys {', '.join(unknown)}")
+        for key, value in config.items():
+            kind = properties[key].get("type")
+            if kind and not _has_json_type(value, kind):
+                raise ConfigError(f"config {path}: {key} must be of type {kind}, got {value!r}")
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
     merged = {key: spec["default"] for key, spec in properties.items() if "default" in spec}
     merged.update(config)
     return merged
+
+
+def _has_json_type(value, kind: str) -> bool:
+    """Does a parsed JSON value have the schema type `kind` (a whole float is an integer)?"""
+    if isinstance(value, bool):
+        return False
+    if kind == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, {"string": str, "integer": int, "number": (int, float),
+                              "array": list}[kind])
 
 
 def _parse_kernel(spec) -> list[list[int]]:
@@ -485,9 +499,13 @@ def _run_render(config: dict) -> ExperimentResult:
     import csv as _csv
 
     by_dir: dict[int, dict] = {}
-    for row in _csv.reader(io.StringIO(_read_input(path))):
+    reader = _csv.reader(io.StringIO(_read_input(path)))
+    for row in reader:
         if not row or row[0] == "dir_index":
             continue
+        if len(row) < 4:
+            raise ConfigError(f"{path}: line {reader.line_num}: a shape row needs 4 fields,"
+                              f" got {len(row)}")
         j = int(row[0])
         entry = by_dir.setdefault(j, {"direction": row[1], "values": []})
         entry["values"].append(float(row[3]))

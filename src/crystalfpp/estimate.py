@@ -679,8 +679,8 @@ def _lift_mc_replica(ctx, i):
         fiber_idx, thresholds = ctx
     c1 = sample_configuration(window1, distribution, replica_seed(base_seed, i, 1))
     cx = sample_configuration(window_x, distribution, replica_seed(base_seed, i, 0))
-    d1 = _dijkstra(window1, c1.times, window1.vertex_index[source1])
-    dx = _dijkstra(window_x, cx.times, window_x.vertex_index[source_x])
+    d1 = _dijkstra(window1, c1.times.tolist(), window1.vertex_index[source1])
+    dx = _dijkstra(window_x, cx.times.tolist(), window_x.vertex_index[source_x])
     t1 = d1[target1_idx]
     fiber_min = min(dx[j] for j in fiber_idx)
     return [t1 >= t for t in thresholds], [fiber_min >= t for t in thresholds]

@@ -4,6 +4,8 @@ Passage times are exact single-source shortest paths on a window, with a
 value-based boundary flag: a target is flagged when forbidding the outer
 margin layers changes its distance, i.e. when the window may be biasing the
 time upward.  Estimators never use flagged samples; they enlarge the window.
+The margin-restricted search runs first, and the full times are repaired
+from its labels rather than searched again.
 """
 from __future__ import annotations
 
@@ -225,21 +227,29 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
 
 
 def _dijkstra(window: Window, weights, source_idx: int, allowed=None) -> list:
-    """Single-source shortest path over the window adjacency.
+    """Single-source shortest path over the window adjacency, within `allowed`.
 
-    weights may be a numpy array or a list (exact int/Fraction arithmetic is
-    used by the exhaustive enumerations).  Returns a distance list with
-    math.inf for unreachable vertices.
+    weights is indexed by orbit: a list of floats, or of ints/Fractions for
+    the exact enumerations.  Returns a distance list with math.inf for
+    unreachable vertices.
     """
-    n = len(window.vertices)
-    dist = [math.inf] * n
+    dist = [math.inf] * len(window.vertices)
     if allowed is not None and not allowed[source_idx]:
         return dist
     dist[source_idx] = 0
-    heap = [(0, source_idx)]
-    adj = window.adjacency
+    return _settle(window.adjacency, weights, dist, [(0, source_idx)], allowed)
+
+
+def _settle(adj, weights, dist: list, heap: list, allowed=None) -> list:
+    """Dijkstra's heap loop: relax from the (label, vertex) entries of heap.
+
+    dist holds path sums, and every edge out of a vertex not on the heap is
+    already relaxed; on return every edge within `allowed` is relaxed, so
+    dist is the minimum over paths.
+    """
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
         for v, orbit in adj[u]:
@@ -248,7 +258,7 @@ def _dijkstra(window: Window, weights, source_idx: int, allowed=None) -> list:
             nd = d + weights[orbit]
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
     return dist
 
 
@@ -281,12 +291,34 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1) -> Pas
     The restricted run forbids the outer `margin` translation layers; a target
     whose restricted distance differs from the full one is flagged, meaning
     every optimal route needs the margin and the window may be too small.
+
+    The restricted run goes first, and the full times are repaired from it:
+    its labels are path sums, hence upper bounds, and it has relaxed every
+    interior edge.  Seeding each margin vertex from its interior neighbours
+    and relaxing from there leaves every edge relaxed, so each label is the
+    minimum over paths of their left-to-right float sums (adding a nonnegative
+    float is monotone).  That is what a fresh full search returns, bit for bit.
     """
     window = config.window
     src = window.vertex_index[source]
-    full = _dijkstra(window, config.times, src)
-    allowed = window.interior_mask(margin)
-    restricted = _dijkstra(window, config.times, src, allowed=allowed)
+    weights = config.times.tolist()
+    interior = window.interior_mask(margin)
+    allowed = interior.tolist()
+    restricted = _dijkstra(window, weights, src, allowed)
+    if not allowed[src]:
+        full = _dijkstra(window, weights, src)
+    else:
+        full = restricted.copy()
+        adj = window.adjacency
+        heap = []
+        for v in np.flatnonzero(~interior).tolist():
+            for u, orbit in adj[v]:
+                if allowed[u] and full[u] + weights[orbit] < full[v]:
+                    full[v] = full[u] + weights[orbit]
+            if full[v] < math.inf:
+                heap.append((full[v], v))
+        heapq.heapify(heap)
+        _settle(adj, weights, full, heap)
     return PassageResult(window, source, np.array(full, dtype=float),
                          np.array(restricted, dtype=float), margin)
 
@@ -369,8 +401,8 @@ def restricted_passage(config: Configuration, x: Sequence[float], y: Sequence[fl
     a = closest_vertex(x, window)
     b = closest_vertex(y, window)
     lo, hi = sorted((a, b), key=lambda v: (v[1], v[0]))
-    allowed = window.interior_mask(window.radius - sub_radius)
+    allowed = window.interior_mask(window.radius - sub_radius).tolist()
     if not allowed[window.vertex_index[lo]] or not allowed[window.vertex_index[hi]]:
         raise ValueError("endpoints must lie inside the sub-window")
-    dist = _dijkstra(window, config.times, window.vertex_index[lo], allowed=allowed)
+    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[lo], allowed=allowed)
     return float(dist[window.vertex_index[hi]])

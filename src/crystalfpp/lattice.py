@@ -52,15 +52,14 @@ class CrystalLattice:
             raise LatticeError("lattice dimension must be positive")
         self.base = base
         self.dim = dim
+        for eid in base.half_edges:
+            if eid not in voltage or len(voltage[eid]) != dim:
+                raise LatticeError(f"half-edge {eid} lacks a voltage vector of length {dim}")
         self.voltage: dict[int, tuple[int, ...]] = {
             eid: tuple(int(c) for c in voltage[eid]) for eid in base.half_edges
         }
         for eid, e in self.base.half_edges.items():
-            vec = self.voltage.get(eid)
-            if vec is None or len(vec) != self.dim:
-                raise LatticeError(f"half-edge {eid} lacks a voltage vector of length {self.dim}")
-            inv = self.voltage[e.inverse]
-            if tuple(-c for c in vec) != inv:
+            if tuple(-c for c in self.voltage[eid]) != self.voltage[e.inverse]:
                 raise LatticeError(f"voltage of half-edge {eid} is not antisymmetric")
         if not self.base.is_connected():
             raise LatticeError("base graph must be connected")

@@ -10,15 +10,21 @@ import math
 from fractions import Fraction
 
 
-def bellman_ford(window, times, source_idx):
-    """Plain relaxation to fixed point; same float operations, no heap."""
+def bellman_ford(window, times, source_idx, allowed=None):
+    """Plain relaxation to fixed point; same float operations, no heap.
+
+    With a vertex mask `allowed`, only edges between allowed vertices count.
+    """
     n = len(window.vertices)
     dist = [math.inf] * n
+    if allowed is not None and not allowed[source_idx]:
+        return dist
     dist[source_idx] = 0
     edges = []
     for oi, key in enumerate(window.orbit_keys):
-        a, b = window.orbit_endpoints(key)
-        edges.append((window.vertex_index[a], window.vertex_index[b], float(times[oi])))
+        a, b = (window.vertex_index[v] for v in window.orbit_endpoints(key))
+        if allowed is None or (allowed[a] and allowed[b]):
+            edges.append((a, b, float(times[oi])))
     for _ in range(n):
         changed = False
         for a, b, w in edges:

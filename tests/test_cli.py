@@ -112,6 +112,9 @@ class TestExitCodes:
     LATTICE_WITHOUT_POSITION_FIELDS = (
         "crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
         "halfedge 0 0 0 1 1\nhalfedge 1 0 0 0 -1\nposition\nperiod 1.0\n")
+    LATTICE_WITHOUT_VOLTAGE = (
+        "crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
+        "halfedge 0 0 0 1\nhalfedge 1 0 0 0 -1\nposition 0 0.0\nperiod 1.0\n")
 
     @pytest.mark.parametrize("argv,files", [
         (["lattice", "--lattice-file", "{tmp}/missing.txt"], {}),
@@ -131,10 +134,14 @@ class TestExitCodes:
         (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": 5}}),
         (["lift-check", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "bernoulli:0.5",
           "--target-index", "1,0"], {}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"k_max": None}}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": "dir_index,direction,replica,time\n0,1;0\n"}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"], {"lat.txt": LATTICE_WITHOUT_VOLTAGE}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
-            "target-wrong-dim"])
+            "target-wrong-dim", "null-k-max", "short-render-row", "halfedge-without-voltage"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

@@ -4,13 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bellman_ford
 
 from crystalfpp.fpp import (
     AffineSnapError,
+    Configuration,
     DistributionError,
     TimeDistribution,
+    _dijkstra,
     moment_check,
     passage_between_points,
     passage_times,
@@ -20,7 +24,8 @@ from crystalfpp.fpp import (
     restricted_passage,
     sample_configuration,
 )
-from crystalfpp.lattice import build_preset, instantiate_window
+from crystalfpp.graph_core import graph_from_edges
+from crystalfpp.lattice import build_custom, build_preset, instantiate_window
 
 
 def window_of(preset, radius):
@@ -125,6 +130,41 @@ class TestPassageTimes:
             res = passage_times(cfg, src)
             oracle = bellman_ford(win, cfg.times, win.vertex_index[src])
             assert [float(t) for t in res.times] == oracle
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_repaired_times_match_oracles_on_random_lattices(self, data):
+        # a random base graph with parallel edges and loops, on a zero-voltage
+        # path plus one unit-voltage loop per axis (so the lift is connected)
+        dim = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(1, 3))
+        vertex = st.integers(0, n - 1)
+        vec = st.tuples(*[st.integers(-1, 1)] * dim)
+        extra = data.draw(st.lists(st.tuples(vertex, vertex, vec), max_size=5))
+        edges = ([(i, i + 1, (0,) * dim) for i in range(n - 1)]
+                 + [(0, 0, tuple(int(k == j) for k in range(dim))) for j in range(dim)]
+                 + extra)
+        voltage = {}
+        for i, (_, _, v) in enumerate(edges):
+            voltage[2 * i], voltage[2 * i + 1] = v, tuple(-c for c in v)
+        lat, real = build_custom(
+            graph_from_edges(n, [(a, b) for a, b, _ in edges]), voltage,
+            {u: (u / n,) + (0.0,) * (dim - 1) for u in range(n)}, np.eye(dim).tolist())
+        win = instantiate_window(lat, real, data.draw(st.integers(1, 3)))
+        # zero times half the time (ties, zero-time clusters); sums that round
+        times = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.5, 1e-17])),
+            min_size=len(win.orbit_keys), max_size=len(win.orbit_keys)))
+        cfg = Configuration(win, TimeDistribution.deterministic(1), np.array(times), ())
+        src = data.draw(st.integers(0, len(win.vertices) - 1))
+        margin = data.draw(st.integers(0, 2))
+
+        res = passage_times(cfg, win.vertices[src], margin=margin)
+        interior = win.interior_mask(margin).tolist()
+        assert res.times.tolist() == bellman_ford(win, times, src)
+        assert res.restricted_times.tolist() == bellman_ford(win, times, src, interior)
+        fresh = np.array(_dijkstra(win, times, src), dtype=float)
+        assert res.times.tobytes() == fresh.tobytes()
 
     def test_boundary_flags(self):
         win = window_of("cubic2", 3)
