@@ -15,6 +15,7 @@ import argparse
 import datetime
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -74,10 +75,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
     """Merge config file and flag overrides; flags win.
 
     The schema's properties are the known keys (others reject) and carry the
-    defaults.
+    defaults.  Every value from the file and from flags must meet its schema
+    type, minimum and enum, and a number must be finite.
     """
     properties = config_schema()["properties"]
-    config: dict = {}
+    sources = []
     if path:
         try:
             config = json.loads(_read_input(path))
@@ -85,19 +87,33 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(config, dict):
             raise ConfigError(f"config {path}: top level must be an object")
-        unknown = sorted(set(config) - set(properties))
-        if unknown:
-            raise ConfigError(f"config {path}: unknown keys {', '.join(unknown)}")
-        for key, value in config.items():
-            kind = properties[key].get("type")
-            if kind and not _has_json_type(value, kind):
-                raise ConfigError(f"config {path}: {key} must be of type {kind}, got {value!r}")
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+        sources.append((f"config {path}: ", config))
+    sources.append(("", {k: v for k, v in overrides.items() if v is not None}))
     merged = {key: spec["default"] for key, spec in properties.items() if "default" in spec}
-    merged.update(config)
+    for where, values in sources:
+        unknown = sorted(set(values) - set(properties))
+        if unknown:
+            raise ConfigError(f"{where}unknown keys {', '.join(unknown)}")
+        for key, value in values.items():
+            problem = _schema_problem(value, properties[key])
+            if problem:
+                raise ConfigError(f"{where}{key} {problem}, got {value!r}")
+        merged.update(values)
     return merged
+
+
+def _schema_problem(value, spec: dict) -> str | None:
+    """How a config value breaks its schema entry, or None if it does not."""
+    kind = spec.get("type")
+    if kind and not _has_json_type(value, kind):
+        return f"must be of type {kind}"
+    if kind in ("integer", "number") and not math.isfinite(value):
+        return "must be finite"
+    if "minimum" in spec and value < spec["minimum"]:
+        return f"must be at least {spec['minimum']}"
+    if "enum" in spec and value not in spec["enum"]:
+        return f"must be one of {', '.join(spec['enum'])}"
+    return None
 
 
 def _has_json_type(value, kind: str) -> bool:
@@ -120,12 +136,12 @@ def _parse_kernel(spec) -> list[list[int]]:
 
 
 def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
-    if isinstance(spec, str):
-        return tuple(Fraction(x.strip()) for x in spec.split(","))
+    parts = spec.split(",") if isinstance(spec, str) else spec
     try:
-        return tuple(Fraction(str(x)) for x in spec)
-    except TypeError:
-        raise ConfigError(f"direction must be 'a,b' or a list of numbers, got {spec!r}") from None
+        return tuple(Fraction(str(x).strip()) for x in parts)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"direction must be 'a,b' or a list of rationals,"
+                          f" got {spec!r}") from None
 
 
 def _parse_float_list(spec) -> list[float]:
@@ -507,12 +523,14 @@ def _run_render(config: dict) -> ExperimentResult:
             raise ConfigError(f"{path}: line {reader.line_num}: a shape row needs 4 fields,"
                               f" got {len(row)}")
         j = int(row[0])
-        entry = by_dir.setdefault(j, {"direction": row[1], "values": []})
-        entry["values"].append(float(row[3]))
+        if j not in by_dir:
+            by_dir[j] = {"direction": _csv_direction(row[1], lat.dim,
+                                                     f"{path}: line {reader.line_num}"),
+                         "values": []}
+        by_dir[j]["values"].append(float(row[3]))
     if not by_dir:
         raise ConfigError(f"{path}: no shape rows found")
-    dirs = [tuple(int(c) for c in by_dir[j]["direction"].split(","))
-            for j in sorted(by_dir)]
+    dirs = [by_dir[j]["direction"] for j in sorted(by_dir)]
     if len({len(entry["values"]) for entry in by_dir.values()}) != 1:
         raise ConfigError(f"{path}: directions have different replica counts")
     samples = np.array([by_dir[j]["values"] for j in sorted(by_dir)]).T
@@ -523,6 +541,17 @@ def _run_render(config: dict) -> ExperimentResult:
     svg = render_shape_svg(shape)
     summary = _provenance(config, lat, real) + [f"n_directions={len(dirs)}"]
     return ExperimentResult(0, summary, None, [], {"shape.svg": svg})
+
+
+def _csv_direction(text: str, dim: int, where: str) -> tuple[int, ...]:
+    """A shape row's direction: dim comma-separated integers, not all zero."""
+    try:
+        z = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        z = ()
+    if len(z) != dim or not any(z):
+        raise ConfigError(f"{where}: direction {text!r} must be {dim} integers, not all zero")
+    return z
 
 
 _RUNNERS = {

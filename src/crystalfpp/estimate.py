@@ -11,6 +11,7 @@ serial and parallel runs produce identical output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -641,49 +642,42 @@ class LiftReport:
 
 
 def _exact_fraction(x: float) -> Fraction:
+    """The Fraction a number prints as; nan and inf raise ValueError."""
     try:
         return Fraction(str(x))
     except ValueError:
-        return Fraction(x)
+        raise ValueError(f"not a finite number: {x!r}") from None
 
 
 def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
-                    low, high, thresholds: Sequence[Fraction], joint_all: bool):
-    """Exact tail probabilities of window passage times under two-point times.
+                    low: int, high: int, thresholds: Sequence) -> list[Fraction]:
+    """Exact P(min over targets of T >= t) for each threshold t, two-point times.
 
-    Enumerates every assignment; returns for each threshold t the probability
-    that T >= t for the single target (joint_all=False) or simultaneously for
-    all targets (joint_all=True).
+    Orbit j takes the integer weight high where bit j of the mask is set
+    (probability 1 - p) and low elsewhere.  Every mask gets one search, and
+    the masks are counted by (least target time, number of high orbits); each
+    threshold's probability is then summed once from those counts.
     """
     m = len(window.orbit_keys)
     src = window.vertex_index[source]
-    totals = [Fraction(0)] * len(thresholds)
-    w_low = [p ** (m - c) * (1 - p) ** c for c in range(m + 1)]
+    counts = Counter()
     for mask in range(1 << m):
-        weights = [high if (mask >> j) & 1 else low for j in range(m)]
-        dist = _dijkstra(window, weights, src)
-        c = bin(mask).count("1")
-        w = w_low[c]
-        for ti, t in enumerate(thresholds):
-            if joint_all:
-                ok = all(dist[i] >= t for i in targets)
-            else:
-                ok = dist[targets[0]] >= t
-            if ok:
-                totals[ti] += w
-    return totals
+        dist = _dijkstra(window, [high if (mask >> j) & 1 else low for j in range(m)], src)
+        counts[min(dist[i] for i in targets), mask.bit_count()] += 1
+    w = [p ** (m - c) * (1 - p) ** c for c in range(m + 1)]
+    return [sum((n * w[c] for (time, c), n in counts.items() if time >= t), Fraction(0))
+            for t in thresholds]
 
 
 def _lift_mc_replica(ctx, i):
+    """Replica i's quotient time T1(0, x1) and least cover time over the fiber."""
     window1, window_x, distribution, base_seed, source1, target1_idx, source_x, \
-        fiber_idx, thresholds = ctx
+        fiber_idx = ctx
     c1 = sample_configuration(window1, distribution, replica_seed(base_seed, i, 1))
     cx = sample_configuration(window_x, distribution, replica_seed(base_seed, i, 0))
     d1 = _dijkstra(window1, c1.times.tolist(), window1.vertex_index[source1])
     dx = _dijkstra(window_x, cx.times.tolist(), window_x.vertex_index[source_x])
-    t1 = d1[target1_idx]
-    fiber_min = min(dx[j] for j in fiber_idx)
-    return [t1 >= t for t in thresholds], [fiber_min >= t for t in thresholds]
+    return d1[target1_idx], min(dx[j] for j in fiber_idx)
 
 
 def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
@@ -698,7 +692,8 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     Both sides use passage times restricted to matched windows, mirroring the
     restricted-time device of the proof; results are window-restricted
     relaxations of the infinite-lattice statement.  Exhaustive mode enumerates
-    every two-point assignment in exact rational arithmetic.
+    every two-point assignment exactly: low, high and the thresholds are scaled
+    by the least common denominator of low and high, so the weights are ints.
     """
     qdata = build_quotient(lattice, realization, kernel)
     window1 = instantiate_window(qdata.sub_lattice, qdata.sub_realization, r_quotient)
@@ -724,15 +719,12 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
             raise BudgetError(
                 f"exhaustive enumeration needs {count} configurations"
                 f" ({m1} + {mx} orbits), above the budget {budget}")
-        p_raw, low_raw, high_raw = distribution.params
-        p = _exact_fraction(p_raw)
-        low, high = _exact_fraction(low_raw), _exact_fraction(high_raw)
-        if low == int(low) and high == int(high):
-            low, high = int(low), int(high)
-        lhs = _enumerate_tail(window1, source1, [target1_idx], p, low, high,
-                              thresholds, joint_all=False)
-        rhs = _enumerate_tail(window_x, source_x, fiber_idx, p, low, high,
-                              thresholds, joint_all=True)
+        p, low, high = (_exact_fraction(v) for v in distribution.params)
+        scale = math.lcm(low.denominator, high.denominator)
+        low, high = int(low * scale), int(high * scale)
+        scaled = [t * scale for t in thresholds]
+        lhs = _enumerate_tail(window1, source1, [target1_idx], p, low, high, scaled)
+        rhs = _enumerate_tail(window_x, source_x, fiber_idx, p, low, high, scaled)
         rows = tuple(LiftRow(float(t), float(l), float(r), 0.0, 0.0, l, r, 0.0)
                      for t, l, r in zip(thresholds, lhs, rhs))
         return LiftReport("exhaustive", rows, len(fiber_idx), r_quotient, r_cover,
@@ -741,12 +733,12 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     ctx = (window1, window_x, distribution, base_seed, source1, target1_idx,
-           source_x, fiber_idx, thresholds)
+           source_x, fiber_idx)
     results = _map_replicas(_lift_mc_replica, ctx, replicas, workers)
     rows = []
-    for ti, t in enumerate(thresholds):
-        lhs_hat = fsum(1.0 for l, _ in results if l[ti]) / replicas
-        rhs_hat = fsum(1.0 for _, r in results if r[ti]) / replicas
+    for t in thresholds:
+        lhs_hat = sum(t1 >= t for t1, _ in results) / replicas
+        rhs_hat = sum(fiber_min >= t for _, fiber_min in results) / replicas
         se_l = math.sqrt(lhs_hat * (1 - lhs_hat) / replicas)
         se_r = math.sqrt(rhs_hat * (1 - rhs_hat) / replicas)
         slack = slack_z * math.sqrt(se_l ** 2 + se_r ** 2)

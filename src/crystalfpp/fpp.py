@@ -229,9 +229,9 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
 def _dijkstra(window: Window, weights, source_idx: int, allowed=None) -> list:
     """Single-source shortest path over the window adjacency, within `allowed`.
 
-    weights is indexed by orbit: a list of floats, or of ints/Fractions for
-    the exact enumerations.  Returns a distance list with math.inf for
-    unreachable vertices.
+    weights is indexed by orbit: a list of floats, or of ints for the exact
+    enumeration.  Returns a distance list with math.inf for unreachable
+    vertices.
     """
     dist = [math.inf] * len(window.vertices)
     if allowed is not None and not allowed[source_idx]:

@@ -39,6 +39,24 @@ def bellman_ford(window, times, source_idx, allowed=None):
     return dist
 
 
+def exhaustive_tail(window, source_idx, targets, p, low, high, thresholds):
+    """P(T >= t at every target) for each t, over every two-point assignment.
+
+    Each orbit is low with probability p (a Fraction) and high otherwise; the
+    probability of an assignment comes from which orbits are high, never from
+    the weight values.  low, high and the thresholds should be dyadic, so the
+    float path sums are exact.
+    """
+    totals = [Fraction(0)] * len(thresholds)
+    for is_high in itertools.product((False, True), repeat=len(window.orbit_keys)):
+        dist = bellman_ford(window, [high if h else low for h in is_high], source_idx)
+        prob = math.prod((1 - p if h else p for h in is_high), start=Fraction(1))
+        for k, t in enumerate(thresholds):
+            if all(dist[i] >= t for i in targets):
+                totals[k] += prob
+    return totals
+
+
 def bfs_hops(window, source_idx):
     """Hop-count graph distance on the window."""
     from collections import deque

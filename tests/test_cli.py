@@ -52,6 +52,17 @@ class TestConfig:
             dests = {a.dest for a in parser._actions} - {"help", "config"}
             assert dests <= keys, (name, dests - keys)
 
+    @pytest.mark.parametrize("flags,message", [
+        ({"threads": 0}, "threads must be at least 1"),
+        ({"max_coord": 0}, "max_coord must be at least 1"),
+        ({"slack_std_errors": -1.0}, "slack_std_errors must be at least 0"),
+        ({"mode": "sampled"}, "mode must be one of"),
+    ])
+    def test_flag_values_meet_the_schema(self, flags, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, flags)
+        assert message in str(err.value)
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "frobnicate"})
@@ -138,10 +149,26 @@ class TestExitCodes:
         (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
          {"s.csv": "dir_index,direction,replica,time\n0,1;0\n"}),
         (["lattice", "--lattice-file", "{tmp}/lat.txt"], {"lat.txt": LATTICE_WITHOUT_VOLTAGE}),
+        (["lift-check", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "bernoulli:0.5",
+          "--target-index", "1", "--t-grid", "inf"], {}),
+        (["mu", "--preset", "cubic2", "--dist", "exponential:1", "--direction", "1/0,1"], {}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": 'dir_index,direction,replica,normalized_time\n0,"0,0",0,1.0\n'}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": 'dir_index,direction,replica,normalized_time\n0,"1,0,0",0,1.0\n'}),
+        (["positivity", "--preset", "cubic2", "--direction", "1,0", "--p-grid", "0.5",
+          "--slack", "nan"], {}),
+        (["positivity", "--config", "{tmp}/c.json", "--p-grid", "0.5"],
+         {"c.json": {"slack_std_errors": float("nan")}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"threads": 0}}),
+        (["shape", "--preset", "cubic2", "--dist", "exponential:1", "--max-coord", "0"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
-            "target-wrong-dim", "null-k-max", "short-render-row", "halfedge-without-voltage"])
+            "target-wrong-dim", "null-k-max", "short-render-row", "halfedge-without-voltage",
+            "t-grid-inf", "direction-zero-denominator", "render-zero-direction",
+            "render-long-direction", "slack-nan", "slack-nan-config", "threads-zero",
+            "max-coord-zero"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

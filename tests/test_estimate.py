@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bfs_hops, zero_cluster_spans
+from oracles import bfs_hops, exhaustive_tail, zero_cluster_spans
 
 import crystalfpp.estimate as estimate_module
 from crystalfpp.estimate import (
@@ -25,7 +25,7 @@ from crystalfpp.estimate import (
 )
 from crystalfpp.fpp import MomentConditionError, TimeDistribution, sample_configuration
 from crystalfpp.lattice import build_preset, instantiate_window
-from crystalfpp.quotient import KernelSublattice, build_quotient
+from crystalfpp.quotient import KernelSublattice, build_quotient, covering_fiber
 
 DET1 = TimeDistribution.deterministic(1)
 EXP1 = TimeDistribution.exponential(1)
@@ -311,6 +311,42 @@ class TestLiftingInequality:
         assert by_t[2.0].lhs_exact == 0 and by_t[2.0].rhs_exact == 0
         assert report.all_passed
         assert report.window_restricted
+
+    # low == high makes every total exactly 0 or 1; with p != 1/2 that also
+    # catches high orbits counted from the weights instead of the mask.  The
+    # last law has low and high of different denominators.
+    @pytest.mark.parametrize("params", [(0.3, 0.5, 1.5), (0.5, 1.0, 1.0), (0.3, 1.0, 1.0),
+                                        (0.3, 0.25, 1.5)])
+    def test_exhaustive_matches_bellman_ford_enumeration(self, params):
+        lat, real = build_preset("cubic2")
+        kernel = KernelSublattice.of([(1, -1)], 2)
+        thresholds = [0, 0.5, 0.75, 1, 1.5, 2, 3]
+        report = lifting_inequality_check(
+            lat, real, kernel, TimeDistribution.bernoulli(*params), (1,), thresholds,
+            mode="exhaustive", r_quotient=2, r_cover=1)
+        qdata = build_quotient(lat, real, kernel)
+        win1 = instantiate_window(qdata.sub_lattice, qdata.sub_realization, 2)
+        win_x = instantiate_window(lat, real, 1)
+        fiber = [win_x.vertex_index[v] for v in covering_fiber(qdata, (0, (1,)), win_x)]
+        assert len(fiber) == report.fiber_size == 2
+        p, low, high = Fraction(str(params[0])), params[1], params[2]
+        lhs = exhaustive_tail(win1, win1.vertex_index[(0, (0,))], [win1.vertex_index[(0, (1,))]],
+                              p, low, high, thresholds)
+        rhs = exhaustive_tail(win_x, win_x.vertex_index[(0, (0, 0))], fiber, p, low, high,
+                              thresholds)
+        assert [r.lhs_exact for r in report.rows] == lhs
+        assert [r.rhs_exact for r in report.rows] == rhs
+        if low == high:
+            assert set(lhs) | set(rhs) <= {0, 1}
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_threshold_is_a_value_error(self, mode, t):
+        lat, real = build_preset("cubic2")
+        with pytest.raises(ValueError, match="not a finite number"):
+            lifting_inequality_check(
+                lat, real, KernelSublattice.of([(1, -1)], 2),
+                TimeDistribution.bernoulli(0.5), (1,), [t], mode=mode, replicas=10)
 
     def test_budget_exceeded_reports_count(self):
         lat, real = build_preset("cubic2")
