@@ -107,7 +107,7 @@ def _schema_problem(value, spec: dict) -> str | None:
     kind = spec.get("type")
     if kind and not _has_json_type(value, kind):
         return f"must be of type {kind}"
-    if kind in ("integer", "number") and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return "must be finite"
     if "minimum" in spec and value < spec["minimum"]:
         return f"must be at least {spec['minimum']}"
@@ -126,13 +126,24 @@ def _has_json_type(value, kind: str) -> bool:
                               "array": list}[kind])
 
 
-def _parse_kernel(spec) -> list[list[int]]:
-    if isinstance(spec, str):
-        spec = [col.split(",") for col in spec.split(";") if col.strip()]
-    try:
-        return [[int(x) for x in col] for col in spec]
-    except TypeError:
-        raise ConfigError(f"kernel must be 'a,b;c,d' or a list of columns, got {spec!r}") from None
+def _parse_int_vector(spec, what: str) -> tuple[int, ...]:
+    """'a,b' or a list of whole numbers (a JSON 1.0 counts) as a tuple of ints."""
+    parts = spec.split(",") if isinstance(spec, str) else spec
+    if isinstance(parts, list) and all(isinstance(x, str) or _has_json_type(x, "integer")
+                                       for x in parts):
+        try:
+            return tuple(int(x) for x in parts)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be 'a,b' or a list of whole numbers, got {spec!r}")
+
+
+def _parse_kernel(spec) -> list[tuple[int, ...]]:
+    columns = spec.split(";") if isinstance(spec, str) else spec
+    if not isinstance(columns, list):
+        raise ConfigError(f"kernel must be 'a,b;c,d' or a list of columns, got {spec!r}")
+    return [_parse_int_vector(col, "a kernel column") for col in columns
+            if not isinstance(col, str) or col.strip()]
 
 
 def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
@@ -149,7 +160,7 @@ def _parse_float_list(spec) -> list[float]:
         return [float(x) for x in spec.split(",") if x.strip()]
     try:
         return [float(x) for x in spec]
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ConfigError(f"grid must be 'a,b,...' or a list of numbers, got {spec!r}") from None
 
 
@@ -187,7 +198,7 @@ def _resolve_distribution(config: dict) -> TimeDistribution:
     params = {k: v for k, v in spec.items() if k != "family"}
     try:
         return getattr(TimeDistribution, family)(**params)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise DistributionError(f"bad parameters {sorted(params)} for {family}") from None
 
 
@@ -455,14 +466,12 @@ def _run_lift_check(config: dict) -> ExperimentResult:
     if config.get("kernel") is None:
         raise ConfigError("lift-check needs a kernel")
     kernel = KernelSublattice.of(_parse_kernel(config["kernel"]), lat.dim)
-    target = config.get("target_index")
-    if target is None:
+    if config.get("target_index") is None:
         raise ConfigError("lift-check needs target_index (quotient translation)")
-    if isinstance(target, str):
-        target = [int(x) for x in target.split(",")]
+    target = _parse_int_vector(config["target_index"], "target_index")
     t_grid = _parse_float_list(config.get("t_grid") or [0.0, 1.0, 2.0])
     report = lifting_inequality_check(
-        lat, real, kernel, dist, tuple(int(c) for c in target), t_grid,
+        lat, real, kernel, dist, target, t_grid,
         mode=str(config["mode"]), budget=int(config["budget"]),
         r_quotient=int(config["r_quotient"]), r_cover=int(config["r_cover"]),
         replicas=int(config["replicas"]), base_seed=int(config["base_seed"]),
@@ -522,12 +531,11 @@ def _run_render(config: dict) -> ExperimentResult:
         if len(row) < 4:
             raise ConfigError(f"{path}: line {reader.line_num}: a shape row needs 4 fields,"
                               f" got {len(row)}")
+        where = f"{path}: line {reader.line_num}"
         j = int(row[0])
         if j not in by_dir:
-            by_dir[j] = {"direction": _csv_direction(row[1], lat.dim,
-                                                     f"{path}: line {reader.line_num}"),
-                         "values": []}
-        by_dir[j]["values"].append(float(row[3]))
+            by_dir[j] = {"direction": _csv_direction(row[1], lat.dim, where), "values": []}
+        by_dir[j]["values"].append(_csv_time(row[3], where))
     if not by_dir:
         raise ConfigError(f"{path}: no shape rows found")
     dirs = [by_dir[j]["direction"] for j in sorted(by_dir)]
@@ -552,6 +560,17 @@ def _csv_direction(text: str, dim: int, where: str) -> tuple[int, ...]:
     if len(z) != dim or not any(z):
         raise ConfigError(f"{where}: direction {text!r} must be {dim} integers, not all zero")
     return z
+
+
+def _csv_time(text: str, where: str) -> float:
+    """A shape row's normalized time: finite and at least 0 (0 is the all-zero law)."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"{where}: normalized_time {text!r} must be a finite number >= 0")
+    return t
 
 
 _RUNNERS = {

@@ -169,40 +169,46 @@ def _mean_se(values: Sequence[float]) -> tuple[float, float]:
     return m, math.sqrt(var / n)
 
 
+MARGIN = 1            # outer layers the restricted search forbids: the boundary flag
+SLACK_LAYERS = 3      # first-window room past the farthest target, for bending routes
+FIBER_HALO = 6        # cover-side room: the fiber spreads around the affine foot
+MAX_ENLARGEMENTS = 4  # beyond this a flagged window is an error, not a larger run
+
+
 def _replica_times(ctx, i):
     """Passage times and boundary flags of replica i at the target indices."""
-    window, distribution, base_seed, role, source, target_idx, margin = ctx
+    window, distribution, base_seed, role, source, target_idx = ctx
     config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
-    res = passage_times(config, source, margin=margin)
+    res = passage_times(config, source, margin=MARGIN)
     return res.times[target_idx].tolist(), res.flags[target_idx].tolist()
 
 
 def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
-                        distribution: TimeDistribution, radius: int, targets, flagged,
-                        replicas: int, base_seed: int, seed_role: int, margin: int,
-                        workers: int, max_vertices: int, max_enlargements: int):
+                        distribution: TimeDistribution, reach: int, targets, flagged,
+                        replicas: int, base_seed: int, seed_role: int, workers: int):
     """Replica (times, flags) at the vertices targets(window), on an unflagged window.
 
-    Runs every replica on the [-radius, radius]^d window; while flagged(times,
-    flags) holds for any replica, the radius grows by max(2, radius // 2) and
-    all replicas rerun, at most max_enlargements times.  Returns (results,
-    target indices, radius, enlargements).
+    The first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach
+    bounds the targets' translation coordinates; while flagged(times, flags) holds
+    for any replica, R grows by max(2, R // 2) and all replicas rerun, at most
+    MAX_ENLARGEMENTS times.  Returns (results, target indices, R, enlargements).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
+    radius = reach + MARGIN + SLACK_LAYERS
     enlargements = 0
     while True:
-        window = instantiate_window(lattice, realization, radius, max_vertices=max_vertices)
+        window = instantiate_window(lattice, realization, radius)
         target_idx = [window.vertex_index[v] for v in targets(window)]
         if not target_idx:
             raise EstimatorError("no target vertex inside the window")
-        ctx = (window, distribution, base_seed, seed_role, source, target_idx, margin)
+        ctx = (window, distribution, base_seed, seed_role, source, target_idx)
         results = _map_replicas(_replica_times, ctx, replicas, workers)
         if not any(flagged(times, flags) for times, flags in results):
             return results, target_idx, radius, enlargements
         enlargements += 1
-        if enlargements > max_enlargements:
+        if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
-                f"boundary flags persisted after {max_enlargements} window enlargements")
+                f"boundary flags persisted after {MAX_ENLARGEMENTS} window enlargements")
         radius += max(2, radius // 2)
 
 
@@ -254,16 +260,14 @@ class TimeConstantEstimate:
 def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
                            distribution: TimeDistribution, direction: Sequence,
                            k_max: int, replicas: int, base_seed: int, *,
-                           seed_role: int = 0, margin: int = 1, slack_layers: int = 3,
-                           workers: int = 1, max_vertices: int = 400_000,
-                           max_enlargements: int = 4,
+                           seed_role: int = 0, workers: int = 1,
                            edge_connectivity: int | None = None) -> TimeConstantEstimate:
     """Monte Carlo time constant along a rational direction.
 
-    The window is auto-sized so the farthest target is interior and no final
-    sample is boundary-flagged (flagged runs trigger a deterministic window
-    enlargement).  Refuses to run when the moment condition for the shape
-    theorem fails, with the analytic witness in the error.
+    The window follows the policy of _unflagged_replicas: it starts past the
+    farthest target and grows until no final sample is boundary-flagged.
+    Refuses to run when the moment condition for the shape theorem fails,
+    with the analytic witness in the error.
     """
     if k_max < 1 or replicas < 1:
         raise ValueError("k_max and replicas must be positive")
@@ -276,10 +280,10 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     u0 = lattice.base.vertices[0]
     results, _, radius, enlargements = _unflagged_replicas(
         lattice, realization, distribution,
-        max(abs(c) for c in step) * k_max + margin + slack_layers,
+        k_max * max(abs(c) for c in step),
         lambda w: [(u0, tuple(k * c for c in step)) for k in range(1, k_max + 1)],
         lambda times, flags: flags[-1],
-        replicas, base_seed, seed_role, margin, workers, max_vertices, max_enlargements)
+        replicas, base_seed, seed_role, workers)
 
     norm = k_max * n_scale
     samples = tuple(per_k[-1] / norm for per_k, _ in results)
@@ -403,9 +407,7 @@ def angular_direction_grid(realization: Realization, n_dirs: int,
 def estimate_shape(lattice: CrystalLattice, realization: Realization,
                    distribution: TimeDistribution, n_dirs: int, k_max: int,
                    replicas: int, base_seed: int, *, max_coord: int = 2,
-                   zero_threshold: float = 0.02, seed_role: int = 0, margin: int = 1,
-                   slack_layers: int = 3, workers: int = 1,
-                   max_vertices: int = 400_000, max_enlargements: int = 4,
+                   zero_threshold: float = 0.02, seed_role: int = 0, workers: int = 1,
                    edge_connectivity: int | None = None) -> ShapeEstimate:
     """Estimate the limit shape from directional time constants.
 
@@ -425,10 +427,10 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     u0 = lattice.base.vertices[0]
     results, _, radius, _ = _unflagged_replicas(
         lattice, realization, distribution,
-        k_max * max(max(abs(c) for c in z) for z in dirs) + margin + slack_layers,
+        k_max * max(max(abs(c) for c in z) for z in dirs),
         lambda w: [(u0, tuple(k_max * c for c in z)) for z in dirs],
         lambda times, flags: any(flags),
-        replicas, base_seed, seed_role, margin, workers, max_vertices, max_enlargements)
+        replicas, base_seed, seed_role, workers)
     samples = np.array([times for times, _ in results]) / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
@@ -552,9 +554,7 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
                             kernel: KernelSublattice, distribution: TimeDistribution,
                             quotient_directions: Sequence[Sequence], k_max: int,
                             replicas: int, base_seed: int, *, slack_z: float = 3.0,
-                            margin: int = 1, slack_layers: int = 3, fiber_halo: int = 6,
-                            workers: int = 1, max_vertices: int = 400_000,
-                            max_enlargements: int = 4) -> MonotonicityReport:
+                            workers: int = 1) -> MonotonicityReport:
     """Compare quotient time constants with point-to-affine times on the cover.
 
     For each quotient direction the quotient estimate mu1 and the cover-side
@@ -575,9 +575,8 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
             raise ValueError("quotient direction has wrong dimension")
         est1 = estimate_time_constant(
             qdata.sub_lattice, qdata.sub_realization, distribution, direction,
-            k_max, replicas, base_seed, seed_role=1, margin=margin,
-            slack_layers=slack_layers, workers=workers, max_vertices=max_vertices,
-            max_enlargements=max_enlargements, edge_connectivity=l_quot)
+            k_max, replicas, base_seed, seed_role=1, workers=workers,
+            edge_connectivity=l_quot)
 
         target1 = tuple(k_max * c for c in step1)
         # window around the Euclidean foot of the preimage affine subspace
@@ -586,10 +585,10 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         z_near = rho_inv @ foot
         results, fiber_idx, radius, _ = _unflagged_replicas(
             lattice, realization, distribution,
-            int(np.ceil(np.max(np.abs(z_near)))) + margin + slack_layers + fiber_halo,
+            int(np.ceil(np.max(np.abs(z_near)))) + FIBER_HALO,
             lambda w: covering_fiber(qdata, (u0, target1), w),
             lambda times, flags: flags[int(np.argmin(times))],
-            replicas, base_seed, 0, margin, workers, max_vertices, max_enlargements)
+            replicas, base_seed, 0, workers)
 
         norm = k_max * n_scale
         vals = [min(times) / norm for times, _ in results]
@@ -770,7 +769,7 @@ class PositivityReport:
 def positivity_scan(lattice: CrystalLattice, realization: Realization,
                     p_grid: Sequence[float], direction: Sequence, k_max: int,
                     replicas: int, base_seed: int, *, slack_z: float = 3.0,
-                    workers: int = 1, max_vertices: int = 400_000) -> PositivityReport:
+                    workers: int = 1) -> PositivityReport:
     """Time constant across a grid of zero-time probabilities.
 
     Larger atoms at zero can only lower the time constant; the report checks
@@ -783,7 +782,7 @@ def positivity_scan(lattice: CrystalLattice, realization: Realization,
         est = estimate_time_constant(
             lattice, realization, TimeDistribution.bernoulli(p), direction,
             k_max, replicas, base_seed, seed_role=idx, workers=workers,
-            max_vertices=max_vertices, edge_connectivity=l_x)
+            edge_connectivity=l_x)
         zero = est.point_estimate <= slack_z * est.std_error + 1e-12
         rows.append(PositivityRow(float(p), est.point_estimate, est.std_error, zero))
     ok = True

@@ -305,20 +305,18 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1) -> Pas
     interior = window.interior_mask(margin)
     allowed = interior.tolist()
     restricted = _dijkstra(window, weights, src, allowed)
-    if not allowed[src]:
-        full = _dijkstra(window, weights, src)
-    else:
-        full = restricted.copy()
-        adj = window.adjacency
-        heap = []
-        for v in np.flatnonzero(~interior).tolist():
-            for u, orbit in adj[v]:
-                if allowed[u] and full[u] + weights[orbit] < full[v]:
-                    full[v] = full[u] + weights[orbit]
-            if full[v] < math.inf:
-                heap.append((full[v], v))
-        heapq.heapify(heap)
-        _settle(adj, weights, full, heap)
+    full = restricted.copy()
+    full[src] = 0  # a source in the margin has no restricted labels to repair from
+    adj = window.adjacency
+    heap = []
+    for v in np.flatnonzero(~interior).tolist():
+        for u, orbit in adj[v]:
+            if allowed[u] and full[u] + weights[orbit] < full[v]:
+                full[v] = full[u] + weights[orbit]
+        if full[v] < math.inf:
+            heap.append((full[v], v))
+    heapq.heapify(heap)
+    _settle(adj, weights, full, heap)
     return PassageResult(window, source, np.array(full, dtype=float),
                          np.array(restricted, dtype=float), margin)
 

@@ -298,14 +298,15 @@ def graph_from_lines(lines: Sequence[str], dim: int | None = None):
     """Inverse of graph_to_lines.  Returns (graph, voltage or None, rest)."""
     it = iter(lines)
 
-    def next_tokens(expect: str) -> list[str]:
+    def next_tokens(expect: str, fields: int = 2) -> list[str]:
         for raw in it:
             s = raw.strip()
             if not s or s.startswith("#"):
                 continue
             tok = s.split()
-            if tok[0] != expect:
-                raise GraphError(f"expected '{expect}' record, got {s!r}")
+            if tok[0] != expect or len(tok) < fields:
+                raise GraphError(f"expected '{expect}' record with {fields - 1}"
+                                 f" or more fields, got {s!r}")
             return tok
         raise GraphError(f"unexpected end of input, expected '{expect}'")
 
@@ -316,7 +317,7 @@ def graph_from_lines(lines: Sequence[str], dim: int | None = None):
     voltage: dict[int, tuple[int, ...]] = {}
     has_voltage = False
     for _ in range(m):
-        tok = next_tokens("halfedge")
+        tok = next_tokens("halfedge", 5)
         eid, o, t, inv = (int(x) for x in tok[1:5])
         half_edges.append(HalfEdge(eid, o, t, inv))
         if len(tok) > 5:

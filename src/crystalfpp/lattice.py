@@ -32,10 +32,12 @@ class LatticeError(ValueError):
 
 
 class WindowLimitError(RuntimeError):
-    """Requested window exceeds the configured memory guard."""
+    """Requested window exceeds the memory guard MAX_WINDOW_VERTICES."""
 
 
 Vertex = tuple[int, tuple[int, ...]]
+# The memory guard: a cubic2 window takes about 1.1 kB per vertex (CPython 3.11).
+MAX_WINDOW_VERTICES = 400_000
 
 
 class CrystalLattice:
@@ -118,7 +120,10 @@ class Realization:
             raise LatticeError("period matrix must be square")
         if any(len(p) != d for p in self.positions.values()):
             raise LatticeError("positions must match the period dimension")
-        if abs(np.linalg.det(self.period_matrix())) < 1e-12:
+        if not all(map(math.isfinite, itertools.chain(*self.period, *self.positions.values()))):
+            raise LatticeError("positions and period must be finite")
+        sign, log_det = np.linalg.slogdet(self.period_matrix())  # det itself may overflow
+        if sign == 0 or log_det < math.log(1e-12):
             raise LatticeError("period matrix is singular")
 
     def period_matrix(self) -> np.ndarray:
@@ -152,16 +157,15 @@ class Window:
     Immutable after construction.
     """
 
-    def __init__(self, lattice: CrystalLattice, realization: Realization, radius: int,
-                 max_vertices: int = 400_000):
+    def __init__(self, lattice: CrystalLattice, realization: Realization, radius: int):
         if radius < 0:
             raise LatticeError("window radius must be nonnegative")
         d = lattice.dim
         base = lattice.base
         n_expected = len(base.vertices) * (2 * radius + 1) ** d
-        if n_expected > max_vertices:
-            raise WindowLimitError(
-                f"window would hold {n_expected} vertices, above the cap {max_vertices}")
+        if n_expected > MAX_WINDOW_VERTICES:
+            raise WindowLimitError(f"window would hold {n_expected} vertices,"
+                                   f" above the cap {MAX_WINDOW_VERTICES}")
         self.lattice = lattice
         self.realization = realization
         self.radius = radius
@@ -246,10 +250,9 @@ class Window:
                 f" {len(self.orbit_keys)} edge orbits)")
 
 
-def instantiate_window(lattice: CrystalLattice, realization: Realization, radius: int,
-                       max_vertices: int = 400_000) -> Window:
+def instantiate_window(lattice: CrystalLattice, realization: Realization, radius: int) -> Window:
     """Materialize the [-R, R]^d window with cached coordinates."""
-    return Window(lattice, realization, radius, max_vertices=max_vertices)
+    return Window(lattice, realization, radius)
 
 
 def closest_vertex(point: Sequence[float], window: Window) -> Vertex:
@@ -351,9 +354,8 @@ def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
     Checks voltage antisymmetry, connectivity of the derived graph, a
     nonsingular period, and nondegeneracy (injectivity) on a probe window.
     """
-    dim = len(period)
-    lat = CrystalLattice(base, dim, voltage)
-    real = Realization(positions, period)
+    lat = CrystalLattice(base, len(period), voltage)
+    real = _realization_of(lat, positions, period)
     win = instantiate_window(lat, real, probe_radius)
     order = np.lexsort(win.coords.T[::-1])
     pts = win.coords[order]
@@ -361,6 +363,15 @@ def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
     if len(pts) > 1 and float(gaps.min()) < degeneracy_tol:
         raise LatticeError("realization is degenerate: two vertices realize the same point")
     return lat, real
+
+
+def _realization_of(lattice: CrystalLattice, positions: Mapping[int, Sequence[float]],
+                    period: Sequence[Sequence[float]]) -> Realization:
+    """The realization of a lattice, with one position per base vertex and no other."""
+    if set(positions) != set(lattice.base.vertices):
+        raise LatticeError(f"positions are given for vertices {sorted(positions)},"
+                           f" the base graph has {sorted(lattice.base.vertices)}")
+    return Realization(positions, period)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +443,7 @@ def _disjoint_paths(n: int, flow: dict, s: int, t: int, k: int) -> list[list[int
 
 
 def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization,
-                               radius: int = 3, margin: int = 1,
-                               max_vertices: int = 400_000) -> EdgeConnectivity:
+                               radius: int = 3, margin: int = 1) -> EdgeConnectivity:
     """Window estimate of the edge connectivity of the infinite graph.
 
     Minimum over interior vertex pairs of unit-capacity max-flow; edges that
@@ -443,7 +453,7 @@ def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization
     """
     if radius < 2:
         raise LatticeError("edge connectivity needs radius >= 2")
-    win = instantiate_window(lattice, realization, radius, max_vertices=max_vertices)
+    win = instantiate_window(lattice, realization, radius)
     interior = win.interior_mask(margin)
     interior_ids = [i for i in range(len(win.vertices)) if interior[i]]
     if len(interior_ids) < 2:
@@ -566,7 +576,8 @@ def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
             raise LatticeError(f"unexpected record {raw!r}")
     if len(period_rows) != dim:
         raise LatticeError("period matrix row count does not match dim")
-    return CrystalLattice(graph, dim, voltage), Realization(positions, period_rows)
+    lattice = CrystalLattice(graph, dim, voltage)
+    return lattice, _realization_of(lattice, positions, period_rows)
 
 
 def lattice_hash(lattice: CrystalLattice, realization: Realization) -> str:

@@ -40,10 +40,6 @@ def _eye(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     """Exact Smith normal form: returns (U, D, V) with U @ m @ V == D.
 

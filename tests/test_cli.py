@@ -15,7 +15,7 @@ from crystalfpp.cli import (
 )
 from crystalfpp.estimate import estimate_shape
 from crystalfpp.fpp import TimeDistribution
-from crystalfpp.lattice import build_preset
+from crystalfpp.lattice import build_preset, lattice_to_text
 
 
 def run_cli(args):
@@ -62,6 +62,11 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(None, flags)
         assert message in str(err.value)
+
+    def test_integers_too_large_for_a_float_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base_seed": 10 ** 400}))
+        assert load_config(str(path), {})["base_seed"] == 10 ** 400
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -126,6 +131,16 @@ class TestExitCodes:
     LATTICE_WITHOUT_VOLTAGE = (
         "crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
         "halfedge 0 0 0 1\nhalfedge 1 0 0 0 -1\nposition 0 0.0\nperiod 1.0\n")
+    LINE_LATTICE = ("crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
+                    "halfedge 0 0 0 1 1\nhalfedge 1 0 0 0 -1\nposition 0 0.0\nperiod 1.0\n")
+    HONEYCOMB_WITHOUT_POSITION_1 = "".join(
+        line for line in lattice_to_text(*build_preset("honeycomb")).splitlines(True)
+        if not line.startswith("position 1 "))
+
+    @staticmethod
+    def shape_csv(time: str) -> str:
+        return ('dir_index,direction,replica,normalized_time\n0,"1,0",0,1.0\n'
+                f'1,"0,1",0,{time}\n2,"-1,0",0,1.0\n')
 
     @pytest.mark.parametrize("argv,files", [
         (["lattice", "--lattice-file", "{tmp}/missing.txt"], {}),
@@ -162,13 +177,36 @@ class TestExitCodes:
          {"c.json": {"slack_std_errors": float("nan")}}),
         (["mu", "--config", "{tmp}/c.json"], {"c.json": {"threads": 0}}),
         (["shape", "--preset", "cubic2", "--dist", "exponential:1", "--max-coord", "0"], {}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": shape_csv("nan")}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": shape_csv("inf")}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": shape_csv("-1.0")}),
+        (["lift-check", "--config", "{tmp}/c.json"],
+         {"c.json": {"kernel": "1,-1", "distribution": "bernoulli:0.5", "target_index": [1.5]}}),
+        (["lift-check", "--config", "{tmp}/c.json"],
+         {"c.json": {"kernel": "1,-1", "distribution": "bernoulli:0.5", "target_index": 1}}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"],
+         {"lat.txt": HONEYCOMB_WITHOUT_POSITION_1}),
+        (["quotient", "--config", "{tmp}/c.json"], {"c.json": {"kernel": [[1.5, -1]]}}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"],
+         {"lat.txt": LINE_LATTICE.replace("vertices 1", "vertices")}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"],
+         {"lat.txt": LINE_LATTICE.replace("position 0 0.0", "position 0 nan")}),
+        (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": [10 ** 400]}}),
+        (["mu", "--config", "{tmp}/c.json"],
+         {"c.json": {"distribution": {"family": "exponential", "rate": 10 ** 400}}}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
             "target-wrong-dim", "null-k-max", "short-render-row", "halfedge-without-voltage",
             "t-grid-inf", "direction-zero-denominator", "render-zero-direction",
             "render-long-direction", "slack-nan", "slack-nan-config", "threads-zero",
-            "max-coord-zero"])
+            "max-coord-zero", "render-nan-time", "render-inf-time", "render-negative-time",
+            "target-index-fraction", "target-index-number", "lattice-missing-position",
+            "kernel-fraction", "vertices-without-count", "lattice-nan-position",
+            "grid-huge-integer", "dist-huge-integer"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

@@ -401,27 +401,25 @@ class TestPositivity:
         assert 0.1 not in report.zero_ps
 
 
-# Each estimator on cubic2 with exponential(1) times and no slack layers, so the
-# first window is too small: (run(**options) -> reported radius, the
-# (lattice dim, radius) of every replica batch).  The monotonicity run maps the
-# quotient replicas once on the line, then the cover replicas on two windows.
-def _mu_run(**options):
+# Each estimator on cubic2 with exponential(1) times, run by TestWindowEnlargement
+# with no slack layers and no fiber halo, so the first window is too small:
+# (run() -> reported radius, the (lattice dim, radius) of every replica batch).
+# The monotonicity run maps the quotient replicas once on the line, then the
+# cover replicas on two windows.
+def _mu_run():
     lat, real = build_preset("cubic2")
-    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3, slack_layers=0,
-                                  **options).radius_used
+    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3).radius_used
 
 
-def _shape_run(**options):
+def _shape_run():
     lat, real = build_preset("cubic2")
-    return estimate_shape(lat, real, EXP1, 8, 3, 10, 1, slack_layers=0,
-                          **options).radius_used
+    return estimate_shape(lat, real, EXP1, 8, 3, 10, 1).radius_used
 
 
-def _monotonicity_run(**options):
+def _monotonicity_run():
     lat, real = build_preset("cubic2")
     report = monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
-                                     [(2,)], 3, 10, 1, slack_layers=0, fiber_halo=0,
-                                     **options)
+                                     [(2,)], 3, 10, 1)
     return report.entries[0].radius_cover
 
 
@@ -433,6 +431,11 @@ ENLARGING_RUNS = {
 
 
 class TestWindowEnlargement:
+    @pytest.fixture(autouse=True)
+    def tight_first_window(self, monkeypatch):
+        monkeypatch.setattr(estimate_module, "SLACK_LAYERS", 0)
+        monkeypatch.setattr(estimate_module, "FIBER_HALO", 0)
+
     @pytest.fixture
     def batches(self, monkeypatch):
         """(lattice dim, window radius) of every _map_replicas call, in order."""
@@ -448,7 +451,7 @@ class TestWindowEnlargement:
 
     def test_time_constant_enlarges_once(self, batches):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3, slack_layers=0)
+        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3)
         assert est.enlargements == 1
         assert est.radius_used == 9  # 6 + max(2, 6 // 2)
         assert len(batches) == est.enlargements + 1
@@ -460,7 +463,8 @@ class TestWindowEnlargement:
         assert batches == expected
 
     @pytest.mark.parametrize("name", ENLARGING_RUNS)
-    def test_no_enlargement_allowed_raises(self, name):
+    def test_no_enlargement_allowed_raises(self, monkeypatch, name):
+        monkeypatch.setattr(estimate_module, "MAX_ENLARGEMENTS", 0)
         run, _ = ENLARGING_RUNS[name]
         with pytest.raises(EstimatorError, match="boundary flags persisted"):
-            run(max_enlargements=0)
+            run()

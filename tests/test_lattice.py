@@ -111,6 +111,26 @@ class TestBuildCustom:
             build_custom(lat0.base, lat0.voltage,
                          {0: (0.0, 0.0), 1: (0.0, 0.0)}, real0.period)
 
+    @pytest.mark.parametrize("positions", [{0: (0.0, 0.0)},
+                                           {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, 0.5)}])
+    def test_positions_must_match_the_base_vertices(self, positions):
+        lat0, real0 = build_preset("honeycomb")
+        with pytest.raises(LatticeError, match="positions are given for vertices"):
+            build_custom(lat0.base, lat0.voltage, positions, real0.period)
+
+    @pytest.mark.parametrize("position,period", [
+        ((math.nan, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+        ((0.0, 0.0), ((math.inf, 0.0), (0.0, 1.0))),
+        ((0.0, 0.0), ((math.nan, 0.0), (0.0, 1.0))),
+    ])
+    def test_non_finite_realization_rejected(self, position, period):
+        with pytest.raises(LatticeError, match="finite"):
+            Realization({0: position}, period)
+
+    def test_period_whose_determinant_overflows_is_not_singular(self):
+        # det = 1e600 is no float; the singularity check must neither warn nor reject
+        Realization({0: (0.0, 0.0)}, ((1e300, 0.0), (0.0, 1e300)))
+
     def test_disconnected_voltages_rejected(self):
         base = graph_from_edges(1, [(0, 0)])
         with pytest.raises(LatticeError):
