@@ -146,10 +146,28 @@ def _parse_kernel(spec) -> list[tuple[int, ...]]:
             if not isinstance(col, str) or col.strip()]
 
 
+# Fraction expands a decimal exponent into an exact integer of that many digits,
+# so longer direction components and larger exponents are refused before it runs
+MAX_DIRECTION_TOKEN = 64
+
+
+def _oversized(token: str) -> bool:
+    exponent = token.lower().partition("e")[2].lstrip("+-")
+    return len(token) > MAX_DIRECTION_TOKEN or (
+        exponent.isdecimal() and int(exponent) > MAX_DIRECTION_TOKEN)
+
+
 def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
     parts = spec.split(",") if isinstance(spec, str) else spec
     try:
-        return tuple(Fraction(str(x).strip()) for x in parts)
+        tokens = [str(x).strip() for x in parts]
+        if any(_oversized(t) for t in tokens):
+            raise OverflowError
+        return tuple(Fraction(t) for t in tokens)
+    except OverflowError:
+        raise ConfigError(f"direction components must be at most {MAX_DIRECTION_TOKEN}"
+                          f" characters, with exponents at most {MAX_DIRECTION_TOKEN},"
+                          f" got {spec!r}") from None
     except (TypeError, ValueError, ZeroDivisionError):
         raise ConfigError(f"direction must be 'a,b' or a list of rationals,"
                           f" got {spec!r}") from None

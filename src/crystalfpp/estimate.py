@@ -7,6 +7,12 @@ the target translation, averaged over independent replicas.  This upper-biases
 the limit slightly; the per-k trace is kept so the bias is visible.  Replica
 streams come from the documented (base_seed, replica, role) splitting rule, so
 serial and parallel runs produce identical output.
+
+Each replica asks fpp.passage_times for its target groups only (one vertex
+per target for mu and shapes, the whole fiber on the cover side), and for one
+flag over the watched groups: a group is flagged when its least time changes
+once the margin is forbidden.  A window is dropped at its first flagged
+replica, in replica order, and every replica reruns on the enlarged window.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +30,7 @@ from .fpp import (
     MomentConditionError,
     TimeDistribution,
     _dijkstra,
+    _stop_table,
     moment_check,
     passage_times,
     replica_seed,
@@ -144,20 +152,38 @@ def _pool_call(i):
     return fn(ctx, i)
 
 
-def _map_replicas(fn, ctx, n: int, workers: int):
+def _take(results, until) -> list:
+    """The results up to and including the first one that satisfies until."""
+    out = []
+    for r in results:
+        out.append(r)
+        if until is not None and until(r):
+            break
+    return out
+
+
+def _map_replicas(fn, ctx, n: int, workers: int, until=None):
     """Run fn(ctx, i) for i in range(n); results in replica order.
 
-    With workers > 1 a process pool is used; results are identical to the
-    serial run because every replica derives its stream from its own index.
+    With a predicate until, the run ends at the first result that satisfies
+    it, the last one returned.  With workers > 1 a pool of min(workers, n)
+    processes is used; results are identical to the serial run because every
+    replica derives its stream from its own index and the pool's results are
+    read in order.  An early end cancels the chunks not yet started and waits
+    for the running ones, so no worker outlives the call.
     """
-    if workers and workers > 1:
+    workers = min(workers, n)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, n // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=((fn, ctx),)) as ex:
-            return list(ex.map(_pool_call, range(n), chunksize=chunk))
-    return [fn(ctx, i) for i in range(n)]
+        ex = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                 initargs=((fn, ctx),))
+        try:
+            return _take(ex.map(_pool_call, range(n), chunksize=max(1, n // (workers * 4))),
+                         until)
+        finally:
+            ex.shutdown(cancel_futures=True)
+    return _take((fn(ctx, i) for i in range(n)), until)
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float]:
@@ -176,35 +202,38 @@ MAX_ENLARGEMENTS = 4  # beyond this a flagged window is an error, not a larger r
 
 
 def _replica_times(ctx, i):
-    """Passage times and boundary flags of replica i at the target indices."""
-    window, distribution, base_seed, role, source, target_idx = ctx
+    """Replica i's target group times, and whether a watched group is flagged."""
+    window, distribution, base_seed, role, source, groups, watched = ctx
     config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
-    res = passage_times(config, source, margin=MARGIN)
-    return res.times[target_idx].tolist(), res.flags[target_idx].tolist()
+    return passage_times(config, source, MARGIN, targets=groups, watched=watched)
 
 
 def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
-                        distribution: TimeDistribution, reach: int, targets, flagged,
+                        distribution: TimeDistribution, reach: int, targets, watched,
                         replicas: int, base_seed: int, seed_role: int, workers: int):
-    """Replica (times, flags) at the vertices targets(window), on an unflagged window.
+    """Replica times at the groups of vertex indices targets(window), on an
+    unflagged window.
 
-    The first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach
-    bounds the targets' translation coordinates; while flagged(times, flags) holds
-    for any replica, R grows by max(2, R // 2) and all replicas rerun, at most
-    MAX_ENLARGEMENTS times.  Returns (results, target indices, R, enlargements).
+    A group's time is the least time of its members, and a replica is flagged
+    when a group at a position in watched is (see fpp.passage_times).  The
+    first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach
+    bounds the targets' translation coordinates.  A window is dropped at its
+    first flagged replica: R grows by max(2, R // 2) and all replicas rerun, at
+    most MAX_ENLARGEMENTS times.  Returns (per-replica group times, groups, R,
+    enlargements).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
     radius = reach + MARGIN + SLACK_LAYERS
     enlargements = 0
     while True:
         window = instantiate_window(lattice, realization, radius)
-        target_idx = [window.vertex_index[v] for v in targets(window)]
-        if not target_idx:
+        groups = targets(window)
+        if not all(groups):
             raise EstimatorError("no target vertex inside the window")
-        ctx = (window, distribution, base_seed, seed_role, source, target_idx)
-        results = _map_replicas(_replica_times, ctx, replicas, workers)
-        if not any(flagged(times, flags) for times, flags in results):
-            return results, target_idx, radius, enlargements
+        ctx = (window, distribution, base_seed, seed_role, source, groups, watched)
+        results = _map_replicas(_replica_times, ctx, replicas, workers, until=itemgetter(1))
+        if not any(flagged for _, flagged in results):
+            return [times for times, _ in results], groups, radius, enlargements
         enlargements += 1
         if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
@@ -281,13 +310,13 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     results, _, radius, enlargements = _unflagged_replicas(
         lattice, realization, distribution,
         k_max * max(abs(c) for c in step),
-        lambda w: [(u0, tuple(k * c for c in step)) for k in range(1, k_max + 1)],
-        lambda times, flags: flags[-1],
-        replicas, base_seed, seed_role, workers)
+        lambda w: [[w.vertex_index[u0, tuple(k * c for c in step)]]
+                   for k in range(1, k_max + 1)],
+        [-1], replicas, base_seed, seed_role, workers)
 
     norm = k_max * n_scale
-    samples = tuple(per_k[-1] / norm for per_k, _ in results)
-    trace = tuple(fsum(per_k[k - 1] for per_k, _ in results) / replicas / (k * n_scale)
+    samples = tuple(per_k[-1] / norm for per_k in results)
+    trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
                   for k in range(1, k_max + 1))
     point, se = _mean_se(samples)
     return TimeConstantEstimate(
@@ -428,10 +457,9 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     results, _, radius, _ = _unflagged_replicas(
         lattice, realization, distribution,
         k_max * max(max(abs(c) for c in z) for z in dirs),
-        lambda w: [(u0, tuple(k_max * c for c in z)) for z in dirs],
-        lambda times, flags: any(flags),
-        replicas, base_seed, seed_role, workers)
-    samples = np.array([times for times, _ in results]) / k_max
+        lambda w: [[w.vertex_index[u0, tuple(k_max * c for c in z)]] for z in dirs],
+        range(len(dirs)), replicas, base_seed, seed_role, workers)
+    samples = np.array(results) / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
         radius_used=radius, base_seed=base_seed, distribution_label=distribution.label(),
@@ -583,15 +611,14 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         foot = qdata.p_matrix.T @ (qdata.sub_realization.period_matrix()
                                    @ np.array(target1, dtype=float))
         z_near = rho_inv @ foot
-        results, fiber_idx, radius, _ = _unflagged_replicas(
+        results, (fiber_idx,), radius, _ = _unflagged_replicas(
             lattice, realization, distribution,
             int(np.ceil(np.max(np.abs(z_near)))) + FIBER_HALO,
-            lambda w: covering_fiber(qdata, (u0, target1), w),
-            lambda times, flags: flags[int(np.argmin(times))],
-            replicas, base_seed, 0, workers)
+            lambda w: [[w.vertex_index[v] for v in covering_fiber(qdata, (u0, target1), w)]],
+            [0], replicas, base_seed, 0, workers)
 
         norm = k_max * n_scale
-        vals = [min(times) / norm for times, _ in results]
+        vals = [fiber_min / norm for fiber_min, in results]
         mu_a, se_a = _mean_se(vals)
         slack = max(slack_z * math.sqrt(se_a ** 2 + est1.std_error ** 2), 1e-9)
         entries.append(MonotonicityEntry(
@@ -653,15 +680,18 @@ def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
     """Exact P(min over targets of T >= t) for each threshold t, two-point times.
 
     Orbit j takes the integer weight high where bit j of the mask is set
-    (probability 1 - p) and low elsewhere.  Every mask gets one search, and
-    the masks are counted by (least target time, number of high orbits); each
-    threshold's probability is then summed once from those counts.
+    (probability 1 - p) and low elsewhere.  Every mask gets one search, which
+    stops at the first settled target, and the masks are counted by (least
+    target time, number of high orbits); each threshold's probability is then
+    summed once from those counts.
     """
     m = len(window.orbit_keys)
     src = window.vertex_index[source]
+    stop = _stop_table([targets])
     counts = Counter()
     for mask in range(1 << m):
-        dist = _dijkstra(window, [high if (mask >> j) & 1 else low for j in range(m)], src)
+        dist = _dijkstra(window, [high if (mask >> j) & 1 else low for j in range(m)], src,
+                         stop=stop)
         counts[min(dist[i] for i in targets), mask.bit_count()] += 1
     w = [p ** (m - c) * (1 - p) ** c for c in range(m + 1)]
     return [sum((n * w[c] for (time, c), n in counts.items() if time >= t), Fraction(0))
@@ -674,8 +704,10 @@ def _lift_mc_replica(ctx, i):
         fiber_idx = ctx
     c1 = sample_configuration(window1, distribution, replica_seed(base_seed, i, 1))
     cx = sample_configuration(window_x, distribution, replica_seed(base_seed, i, 0))
-    d1 = _dijkstra(window1, c1.times.tolist(), window1.vertex_index[source1])
-    dx = _dijkstra(window_x, cx.times.tolist(), window_x.vertex_index[source_x])
+    d1 = _dijkstra(window1, c1.times.tolist(), window1.vertex_index[source1],
+                   stop=_stop_table([[target1_idx]]))
+    dx = _dijkstra(window_x, cx.times.tolist(), window_x.vertex_index[source_x],
+                   stop=_stop_table([fiber_idx]))
     return d1[target1_idx], min(dx[j] for j in fiber_idx)
 
 

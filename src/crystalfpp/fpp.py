@@ -4,8 +4,10 @@ Passage times are exact single-source shortest paths on a window, with a
 value-based boundary flag: a target is flagged when forbidding the outer
 margin layers changes its distance, i.e. when the window may be biasing the
 time upward.  Estimators never use flagged samples; they enlarge the window.
-The margin-restricted search runs first, and the full times are repaired
-from its labels rather than searched again.
+The estimators ask for target groups only: the full search stops once every
+group has a settled vertex, a parent chain inside the interior certifies a
+group unflagged, and the margin-restricted search runs only for the groups
+left in doubt.
 """
 from __future__ import annotations
 
@@ -226,40 +228,56 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
 # shortest-path passage times
 
 
-def _dijkstra(window: Window, weights, source_idx: int, allowed=None) -> list:
+def _dijkstra(window: Window, weights, source_idx: int, allowed=None, stop=None,
+              parent=None) -> list:
     """Single-source shortest path over the window adjacency, within `allowed`.
 
     weights is indexed by orbit: a list of floats, or of ints for the exact
     enumeration.  Returns a distance list with math.inf for unreachable
-    vertices.
+    vertices.  Each label is the least left-to-right sum over the paths to its
+    vertex, since adding a nonnegative number is monotone.
+
+    stop maps target vertices to the groups they belong to (see _stop_table):
+    the search then returns once every group has a settled vertex.  Settled
+    labels are final, so each group's least label is exact; unsettled labels
+    are only path sums.  parent, a list of -1s, records the vertex each label
+    came from: a label is its parent's label plus the edge weight.
     """
     dist = [math.inf] * len(window.vertices)
     if allowed is not None and not allowed[source_idx]:
         return dist
     dist[source_idx] = 0
-    return _settle(window.adjacency, weights, dist, [(0, source_idx)], allowed)
-
-
-def _settle(adj, weights, dist: list, heap: list, allowed=None) -> list:
-    """Dijkstra's heap loop: relax from the (label, vertex) entries of heap.
-
-    dist holds path sums, and every edge out of a vertex not on the heap is
-    already relaxed; on return every edge within `allowed` is relaxed, so
-    dist is the minimum over paths.
-    """
+    pending = {g for groups in stop.values() for g in groups} if stop else None
+    adj = window.adjacency
+    heap = [(0, source_idx)]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue
+        if pending is not None and u in stop:
+            pending.difference_update(stop[u])
+            if not pending:
+                break
         for v, orbit in adj[u]:
             if allowed is not None and not allowed[v]:
                 continue
             nd = d + weights[orbit]
             if nd < dist[v]:
                 dist[v] = nd
+                if parent is not None:
+                    parent[v] = u
                 push(heap, (nd, v))
     return dist
+
+
+def _stop_table(groups) -> dict:
+    """Target vertex -> positions of the groups it belongs to."""
+    table = {}
+    for g, group in enumerate(groups):
+        for v in group:
+            table.setdefault(v, []).append(g)
+    return table
 
 
 @dataclass
@@ -285,40 +303,52 @@ class PassageResult:
         return self.times != self.restricted_times
 
 
-def passage_times(config: Configuration, source: Vertex, margin: int = 1) -> PassageResult:
+def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
+                  targets=None, watched=()):
     """Exact shortest-path times under the configuration, plus boundary flags.
 
-    The restricted run forbids the outer `margin` translation layers; a target
-    whose restricted distance differs from the full one is flagged, meaning
-    every optimal route needs the margin and the window may be too small.
+    The restricted search forbids the outer `margin` translation layers; a
+    target whose restricted distance differs from the full one is flagged,
+    meaning every optimal route needs the margin and the window may be too
+    small.
 
-    The restricted run goes first, and the full times are repaired from it:
-    its labels are path sums, hence upper bounds, and it has relaxed every
-    interior edge.  Seeding each margin vertex from its interior neighbours
-    and relaxing from there leaves every edge relaxed, so each label is the
-    minimum over paths of their left-to-right float sums (adding a nonnegative
-    float is monotone).  That is what a fresh full search returns, bit for bit.
+    Without targets, both searches cover the whole window and the result is a
+    PassageResult.  With targets, groups of vertex indices whose time is the
+    least time of their members, the result is (group times, flagged), and
+    flagged is whether any group at a position in watched is flagged: its
+    least full time differs from its least restricted time.  Both searches
+    then stop at the groups.  The full search goes first and records parents;
+    a watched group whose first least member has a parent chain inside the
+    interior is not flagged, since the restricted search can take that chain,
+    whose left-to-right sum is the full label, and cannot do better than the
+    full search.  Only the other watched groups, an unreachable one included,
+    get a restricted search.
     """
     window = config.window
     src = window.vertex_index[source]
     weights = config.times.tolist()
-    interior = window.interior_mask(margin)
-    allowed = interior.tolist()
-    restricted = _dijkstra(window, weights, src, allowed)
-    full = restricted.copy()
-    full[src] = 0  # a source in the margin has no restricted labels to repair from
-    adj = window.adjacency
-    heap = []
-    for v in np.flatnonzero(~interior).tolist():
-        for u, orbit in adj[v]:
-            if allowed[u] and full[u] + weights[orbit] < full[v]:
-                full[v] = full[u] + weights[orbit]
-        if full[v] < math.inf:
-            heap.append((full[v], v))
-    heapq.heapify(heap)
-    _settle(adj, weights, full, heap)
-    return PassageResult(window, source, np.array(full, dtype=float),
-                         np.array(restricted, dtype=float), margin)
+    if targets is None:
+        allowed = window.interior_mask(margin).tolist()
+        return PassageResult(window, source,
+                             np.array(_dijkstra(window, weights, src), dtype=float),
+                             np.array(_dijkstra(window, weights, src, allowed), dtype=float),
+                             margin)
+    parent = [-1] * len(window.vertices)
+    full = _dijkstra(window, weights, src, stop=_stop_table(targets), parent=parent)
+    times = [float(min(full[v] for v in group)) for group in targets]
+    doubtful = []
+    for g in watched:
+        v = min(targets[g], key=full.__getitem__)
+        chain = [v]
+        while parent[chain[-1]] >= 0:
+            chain.append(parent[chain[-1]])
+        if times[g] == math.inf or not window.interior_mask(margin, chain).all():
+            doubtful.append(g)
+    if not doubtful:
+        return times, False
+    restricted = _dijkstra(window, weights, src, window.interior_mask(margin).tolist(),
+                           stop=_stop_table([targets[g] for g in doubtful]))
+    return times, any(min(restricted[v] for v in targets[g]) != times[g] for g in doubtful)
 
 
 @dataclass(frozen=True)

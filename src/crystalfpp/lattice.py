@@ -233,9 +233,10 @@ class Window:
         z2 = tuple(a + b for a, b in zip(z, self.lattice.voltage[eid]))
         return (e.origin, z), (e.terminus, z2)
 
-    def interior_mask(self, margin: int) -> np.ndarray:
-        """True for vertices at least `margin` layers away from the boundary."""
-        return np.all(np.abs(self.vertex_translations) <= self.radius - margin, axis=1)
+    def interior_mask(self, margin: int, idx=slice(None)) -> np.ndarray:
+        """True for vertices (all, or those at idx) at least `margin` layers away
+        from the boundary."""
+        return np.all(np.abs(self.vertex_translations[idx]) <= self.radius - margin, axis=1)
 
     def min_edge_length(self) -> float:
         a, b = self.orbit_ends.T

@@ -197,6 +197,9 @@ class TestExitCodes:
         (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": [10 ** 400]}}),
         (["mu", "--config", "{tmp}/c.json"],
          {"c.json": {"distribution": {"family": "exponential", "rate": 10 ** 400}}}),
+        (["mu", "--preset", "cubic2", "--dist", "exponential:1",
+          "--direction", "1e10000000,0"], {}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"direction": [10 ** 400, 0]}}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -206,7 +209,8 @@ class TestExitCodes:
             "max-coord-zero", "render-nan-time", "render-inf-time", "render-negative-time",
             "target-index-fraction", "target-index-number", "lattice-missing-position",
             "kernel-fraction", "vertices-without-count", "lattice-nan-position",
-            "grid-huge-integer", "dist-huge-integer"])
+            "grid-huge-integer", "dist-huge-integer", "direction-huge-exponent",
+            "direction-huge-integer"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

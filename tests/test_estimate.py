@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,8 @@ from crystalfpp.estimate import (
     rational_direction,
 )
 from crystalfpp.fpp import MomentConditionError, TimeDistribution, sample_configuration
-from crystalfpp.lattice import build_preset, instantiate_window
+from crystalfpp.graph_core import graph_from_edges
+from crystalfpp.lattice import build_custom, build_preset, instantiate_window
 from crystalfpp.quotient import KernelSublattice, build_quotient, covering_fiber
 
 DET1 = TimeDistribution.deterministic(1)
@@ -339,6 +342,27 @@ class TestLiftingInequality:
         if low == high:
             assert set(lhs) | set(rhs) <= {0, 1}
 
+    # the source as a target, and targets the window cannot reach: on this line
+    # lattice the R = 1 window splits into {index -1, 1} and {index 0}
+    @pytest.mark.parametrize("case", ["source-target", "unreachable", "one-unreachable"])
+    def test_enumerated_tail_matches_the_oracle_at_degenerate_targets(self, case):
+        if case == "source-target":
+            win = instantiate_window(*build_preset("cubic2"), 1)
+            source, targets = (0, (0, 0)), [(0, (0, 0)), (0, (1, 0))]
+        else:
+            lat, real = build_custom(graph_from_edges(2, [(0, 1), (0, 0), (1, 1)]),
+                                     {0: (0,), 1: (0,), 2: (2,), 3: (-2,), 4: (3,), 5: (-3,)},
+                                     {0: (0.0,), 1: (0.5,)}, [[1.0]])
+            win = instantiate_window(lat, real, 1)
+            source = (0, (-1,))
+            targets = [(0, (0,))] + ([(1, (1,))] if case == "one-unreachable" else [])
+        idx = [win.vertex_index[v] for v in targets]
+        p, thresholds = Fraction(1, 3), [0, 1, 2, 3]
+        got = estimate_module._enumerate_tail(win, source, idx, p, 0, 1, thresholds)
+        assert got == exhaustive_tail(win, win.vertex_index[source], idx, p, 0, 1, thresholds)
+        if case == "unreachable":
+            assert got == [1, 1, 1, 1]
+
     @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_threshold_is_a_value_error(self, mode, t):
@@ -406,20 +430,21 @@ class TestPositivity:
 # (run() -> reported radius, the (lattice dim, radius) of every replica batch).
 # The monotonicity run maps the quotient replicas once on the line, then the
 # cover replicas on two windows.
-def _mu_run():
+def _mu_run(workers=1):
     lat, real = build_preset("cubic2")
-    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3).radius_used
+    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3,
+                                  workers=workers).radius_used
 
 
-def _shape_run():
+def _shape_run(workers=1):
     lat, real = build_preset("cubic2")
-    return estimate_shape(lat, real, EXP1, 8, 3, 10, 1).radius_used
+    return estimate_shape(lat, real, EXP1, 8, 3, 10, 1, workers=workers).radius_used
 
 
-def _monotonicity_run():
+def _monotonicity_run(workers=1):
     lat, real = build_preset("cubic2")
     report = monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
-                                     [(2,)], 3, 10, 1)
+                                     [(2,)], 3, 10, 1, workers=workers)
     return report.entries[0].radius_cover
 
 
@@ -442,11 +467,25 @@ class TestWindowEnlargement:
         seen = []
         original = estimate_module._map_replicas
 
-        def counting(fn, ctx, n, workers):
+        def counting(fn, ctx, n, workers, until=None):
             seen.append((ctx[0].lattice.dim, ctx[0].radius))
-            return original(fn, ctx, n, workers)
+            return original(fn, ctx, n, workers, until)
 
         monkeypatch.setattr(estimate_module, "_map_replicas", counting)
+        return seen
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        """(fn, ctx, n, results) of every _map_replicas call, in order."""
+        seen = []
+        original = estimate_module._map_replicas
+
+        def recording(fn, ctx, n, workers, until=None):
+            results = original(fn, ctx, n, workers, until)
+            seen.append((fn, ctx, n, results))
+            return results
+
+        monkeypatch.setattr(estimate_module, "_map_replicas", recording)
         return seen
 
     def test_time_constant_enlarges_once(self, batches):
@@ -468,3 +507,64 @@ class TestWindowEnlargement:
         run, _ = ENLARGING_RUNS[name]
         with pytest.raises(EstimatorError, match="boundary flags persisted"):
             run()
+
+    @pytest.mark.parametrize("name", ENLARGING_RUNS)
+    def test_a_flagged_window_stops_at_its_first_flagged_replica(self, returned, name):
+        ENLARGING_RUNS[name][0]()
+        dims = [ctx[0].lattice.dim for _, ctx, _, _ in returned]
+        for k, (fn, ctx, n, results) in enumerate(returned):
+            every = [fn(ctx, i) for i in range(n)]
+            flagged = [i for i, (_, f) in enumerate(every) if f]
+            # a window is flagged exactly when the next batch is on a larger one
+            assert bool(flagged) == (dims[k + 1:k + 2] == [dims[k]])
+            assert results == (every[:flagged[0] + 1] if flagged else every)
+        assert any(len(results) < n for _, _, n, results in returned)
+
+    @pytest.mark.parametrize("name", ENLARGING_RUNS)
+    def test_pool_stops_where_the_serial_run_stops(self, returned, name):
+        run, _ = ENLARGING_RUNS[name]
+        assert run(workers=2) == run()
+        half = len(returned) // 2
+        assert [r for *_, r in returned[:half]] == [r for *_, r in returned[half:]]
+        assert not multiprocessing.active_children()
+
+
+class TestReplicaMap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every process pool opened; the fake starts no process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(estimate_module, "_POOL_PAYLOAD", None)
+        return sizes
+
+    def test_pool_is_capped_by_the_replica_count(self, pools):
+        def fn(ctx, i):
+            return ctx * i
+
+        assert estimate_module._map_replicas(fn, 10, 3, 1000) == [0, 10, 20]
+        assert estimate_module._map_replicas(fn, 10, 1, 1000) == [0]
+        assert estimate_module._map_replicas(fn, 10, 5, 4) == [0, 10, 20, 30, 40]
+        assert pools == [3, 4]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_until_ends_at_the_first_match(self, pools, workers):
+        def fn(ctx, i):
+            return i * i
+
+        assert estimate_module._map_replicas(fn, None, 10, workers,
+                                             until=lambda r: r > 5) == [0, 1, 4, 9]
+        assert estimate_module._map_replicas(fn, None, 3, workers,
+                                             until=lambda r: r > 5) == [0, 1, 4]

@@ -33,6 +33,34 @@ def window_of(preset, radius):
     return instantiate_window(lat, real, radius)
 
 
+def random_window_times(data):
+    """A window of a random lattice and random edge times, drawn from data.
+
+    The base graph has parallel edges and loops, on a zero-voltage path plus
+    one unit-voltage loop per axis (so the lift is connected).  Times are zero
+    half the time (ties, zero-time clusters), else values whose sums round.
+    """
+    dim = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    vec = st.tuples(*[st.integers(-1, 1)] * dim)
+    extra = data.draw(st.lists(st.tuples(vertex, vertex, vec), max_size=5))
+    edges = ([(i, i + 1, (0,) * dim) for i in range(n - 1)]
+             + [(0, 0, tuple(int(k == j) for k in range(dim))) for j in range(dim)]
+             + extra)
+    voltage = {}
+    for i, (_, _, v) in enumerate(edges):
+        voltage[2 * i], voltage[2 * i + 1] = v, tuple(-c for c in v)
+    lat, real = build_custom(
+        graph_from_edges(n, [(a, b) for a, b, _ in edges]), voltage,
+        {u: (u / n,) + (0.0,) * (dim - 1) for u in range(n)}, np.eye(dim).tolist())
+    win = instantiate_window(lat, real, data.draw(st.integers(1, 3)))
+    times = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.5, 1e-17])),
+        min_size=len(win.orbit_keys), max_size=len(win.orbit_keys)))
+    return win, times
+
+
 class TestDistributions:
     def test_parse_and_label(self):
         d = TimeDistribution.parse("exponential:1")
@@ -134,27 +162,7 @@ class TestPassageTimes:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.data())
     def test_repaired_times_match_oracles_on_random_lattices(self, data):
-        # a random base graph with parallel edges and loops, on a zero-voltage
-        # path plus one unit-voltage loop per axis (so the lift is connected)
-        dim = data.draw(st.integers(1, 2))
-        n = data.draw(st.integers(1, 3))
-        vertex = st.integers(0, n - 1)
-        vec = st.tuples(*[st.integers(-1, 1)] * dim)
-        extra = data.draw(st.lists(st.tuples(vertex, vertex, vec), max_size=5))
-        edges = ([(i, i + 1, (0,) * dim) for i in range(n - 1)]
-                 + [(0, 0, tuple(int(k == j) for k in range(dim))) for j in range(dim)]
-                 + extra)
-        voltage = {}
-        for i, (_, _, v) in enumerate(edges):
-            voltage[2 * i], voltage[2 * i + 1] = v, tuple(-c for c in v)
-        lat, real = build_custom(
-            graph_from_edges(n, [(a, b) for a, b, _ in edges]), voltage,
-            {u: (u / n,) + (0.0,) * (dim - 1) for u in range(n)}, np.eye(dim).tolist())
-        win = instantiate_window(lat, real, data.draw(st.integers(1, 3)))
-        # zero times half the time (ties, zero-time clusters); sums that round
-        times = data.draw(st.lists(
-            st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.5, 1e-17])),
-            min_size=len(win.orbit_keys), max_size=len(win.orbit_keys)))
+        win, times = random_window_times(data)
         cfg = Configuration(win, TimeDistribution.deterministic(1), np.array(times), ())
         src = data.draw(st.integers(0, len(win.vertices) - 1))
         margin = data.draw(st.integers(0, 2))
@@ -166,6 +174,44 @@ class TestPassageTimes:
         fresh = np.array(_dijkstra(win, times, src), dtype=float)
         assert res.times.tobytes() == fresh.tobytes()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_bounded_groups_match_full_window_and_oracles(self, data):
+        win, times = random_window_times(data)
+        n = len(win.vertices)
+        margin = data.draw(st.integers(0, 2))
+        interior = win.interior_mask(margin).tolist()
+        # a source in the margin half the time, when the margin is not empty
+        in_margin = [i for i in range(n) if not interior[i]]
+        src = data.draw(st.sampled_from(in_margin if in_margin and data.draw(st.booleans())
+                                        else range(n)))
+        groups = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+                                    min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            groups[0].append(src)  # a source inside a group
+        if n > 1 and data.draw(st.booleans()):
+            # an unreachable group: every edge at one other vertex never arrives
+            cut = data.draw(st.sampled_from([i for i in range(n) if i != src]))
+            for j, (a, b) in enumerate(win.orbit_ends.tolist()):
+                if cut in (a, b):
+                    times[j] = math.inf
+            groups.append([cut])
+        watched = data.draw(st.lists(st.integers(0, len(groups) - 1), unique=True))
+        cfg = Configuration(win, TimeDistribution.deterministic(1), np.array(times), ())
+
+        got, flagged = passage_times(cfg, win.vertices[src], margin, targets=groups,
+                                     watched=watched)
+        full = bellman_ford(win, times, src)
+        restricted = bellman_ford(win, times, src, interior)
+        least = [min(full[v] for v in g) for g in groups]
+        assert got == least and all(type(t) is float for t in got)
+        assert flagged == any(least[g] != min(restricted[v] for v in groups[g])
+                              for g in watched)
+        res = passage_times(cfg, win.vertices[src], margin)
+        assert got == [float(res.times[g].min()) for g in groups]
+        if all(len(g) == 1 for g in groups):
+            assert flagged == any(bool(res.flags[groups[g][0]]) for g in watched)
+
     def test_boundary_flags(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
@@ -174,6 +220,21 @@ class TestPassageTimes:
         assert not res.boundary_touched((0, (2, 0)))
         # margin targets are always flagged
         assert res.boundary_touched((0, (3, 0)))
+
+    def test_group_flag_compares_least_times(self):
+        win = window_of("cubic2", 3)
+        cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
+        edge, tie, farther = (win.vertex_index[0, z] for z in ((3, 0), (2, 1), (2, 2)))
+
+        def solve(group, watched=(0,)):
+            return passage_times(cfg, (0, (0, 0)), 1, targets=[group], watched=watched)
+
+        # a margin vertex tied with an interior one: the least time needs no margin
+        assert solve([edge, tie]) == ([3.0], False)
+        # a margin vertex nearer than the interior one: the least time needs it
+        assert solve([edge, farther]) == ([3.0], True)
+        assert solve([farther, edge]) == ([3.0], True)
+        assert solve([edge], watched=()) == ([3.0], False)
 
     def test_triangle_inequality(self):
         win = window_of("cubic2", 3)
