@@ -12,6 +12,7 @@ artifacts are written on errors).
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import io
 import json
@@ -399,6 +400,9 @@ def _run_mu(config: dict) -> ExperimentResult:
     summary = _provenance(config, lat, real, dist)
     header = ["direction", "replica", "normalized_time"]
     rows: list[list] = []
+    trace = io.StringIO()
+    trace_writer = csv.writer(trace)
+    trace_writer.writerow(["direction", "k", "mean_normalized_time"])
     for vec in dirs:
         est = estimate_time_constant(
             lat, real, dist, vec, int(config["k_max"]), int(config["replicas"]),
@@ -413,7 +417,8 @@ def _run_mu(config: dict) -> ExperimentResult:
             f"edge_connectivity={est.edge_connectivity}",
         ]
         rows += [[tag, i, repr(v)] for i, v in enumerate(est.samples)]
-    return ExperimentResult(0, summary, header, rows)
+        trace_writer.writerows([tag, k, repr(v)] for k, v in enumerate(est.trace, 1))
+    return ExperimentResult(0, summary, header, rows, {"trace.csv": trace.getvalue()})
 
 
 def _run_shape(config: dict) -> ExperimentResult:
@@ -539,10 +544,8 @@ def _run_render(config: dict) -> ExperimentResult:
     if not path:
         raise ConfigError("render needs input_csv (a shape detail file)")
     lat, real = _resolve_lattice(config)
-    import csv as _csv
-
     by_dir: dict[int, dict] = {}
-    reader = _csv.reader(io.StringIO(_read_input(path)))
+    reader = csv.reader(io.StringIO(_read_input(path)))
     for row in reader:
         if not row or row[0] == "dir_index":
             continue
@@ -621,10 +624,8 @@ def write_artifacts(result: ExperimentResult, out_dir: str, started: float) -> N
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     if result.csv_header is not None:
-        import csv as _csv
-
         with open(os.path.join(out_dir, "detail.csv"), "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(result.csv_header)
             writer.writerows(result.csv_rows)
     for name, content in result.extra_files.items():

@@ -653,6 +653,13 @@ class LiftRow:
 
 @dataclass
 class LiftReport:
+    """Tail rows of a lifting check.
+
+    config_count is the number of configurations searched in exhaustive mode,
+    2^r1 + 2^rx for the r1 quotient and rx cover orbits that can change the
+    least target time, and 0 in Monte Carlo mode.
+    """
+
     mode: str
     rows: tuple[LiftRow, ...]
     fiber_size: int
@@ -675,25 +682,97 @@ def _exact_fraction(x: float) -> Fraction:
         raise ValueError(f"not a finite number: {x!r}") from None
 
 
+def _relevant_orbits(window: Window, src: int, targets: Sequence[int]) -> list[int]:
+    """The orbits that can change the least time from src to the targets.
+
+    Join every target to one virtual sink.  A least-time walk can be taken
+    simple, and a simple path from src to the sink uses only edges of the
+    biconnected blocks on the block-cut-tree path between them; those blocks
+    are exactly the blocks of the DFS tree edges on the sink's parent chain.
+    The blocks come from an iterative Hopcroft-Tarjan rooted at src.  Windows
+    have parallel orbits, so a vertex skips only the orbit it was reached by.
+    Loop orbits belong to no block.  Empty when src is a target or no target
+    is reachable: the time is then 0 or inf whatever the weights.
+    """
+    if src in targets:
+        return []
+    ends = window.orbit_ends.tolist()
+    sink = len(window.vertices)
+    edges = ends + [[t, sink] for t in targets]
+    adj = [[] for _ in range(sink + 1)]
+    for e, (a, b) in enumerate(edges):
+        if a != b:
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+    disc, low, via, parent = ([-1] * (sink + 1) for _ in range(4))
+    block = [-1] * len(edges)
+    disc[src] = low[src] = 0
+    seen, blocks, edge_stack, stack = 1, 0, [], [(src, iter(adj[src]))]
+    while stack:
+        u, it = stack[-1]
+        for v, e in it:
+            if e == via[u]:
+                continue
+            if disc[v] < 0:
+                disc[v] = low[v] = seen
+                seen += 1
+                via[v], parent[v] = e, u
+                edge_stack.append(e)
+                stack.append((v, iter(adj[v])))
+                break
+            if disc[v] < disc[u]:  # a back edge to an ancestor, stacked once
+                edge_stack.append(e)
+                low[u] = min(low[u], disc[v])
+        else:
+            stack.pop()
+            if stack:
+                w = stack[-1][0]
+                low[w] = min(low[w], low[u])
+                if low[u] >= disc[w]:  # w separates u's subtree: close a block
+                    while (e := edge_stack.pop()) != via[u]:
+                        block[e] = blocks
+                    block[e] = blocks
+                    blocks += 1
+    if disc[sink] < 0:
+        return []
+    chain, v = set(), sink
+    while v != src:
+        chain.add(block[via[v]])
+        v = parent[v]
+    return [e for e in range(len(ends)) if block[e] in chain]
+
+
 def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
                     low: int, high: int, thresholds: Sequence) -> list[Fraction]:
     """Exact P(min over targets of T >= t) for each threshold t, two-point times.
 
-    Orbit j takes the integer weight high where bit j of the mask is set
-    (probability 1 - p) and low elsewhere.  Every mask gets one search, which
-    stops at the first settled target, and the masks are counted by (least
-    target time, number of high orbits); each threshold's probability is then
-    summed once from those counts.
+    Each orbit takes the integer weight low with probability p and high
+    otherwise.  Only the r orbits of _relevant_orbits can change the least
+    target time, so every other orbit stays at high and sums out to 1.  The
+    2^r assignments of the relevant orbits are visited in Gray-code order, one
+    weight flipped in place per step; each gets one search, which stops at the
+    first settled target, and the assignments are counted by (least target
+    time, number c of high relevant orbits) with probability p^(r-c)(1-p)^c.
+    Each threshold's probability is then summed once from those counts.
     """
-    m = len(window.orbit_keys)
     src = window.vertex_index[source]
+    relevant = _relevant_orbits(window, src, targets)
+    r = len(relevant)
+    weights = [high] * len(window.orbit_keys)
+    for j in relevant:
+        weights[j] = low
     stop = _stop_table([targets])
     counts = Counter()
-    for mask in range(1 << m):
-        dist = _dijkstra(window, [high if (mask >> j) & 1 else low for j in range(m)], src,
-                         stop=stop)
-        counts[min(dist[i] for i in targets), mask.bit_count()] += 1
-    w = [p ** (m - c) * (1 - p) ** c for c in range(m + 1)]
+    c = 0
+    for i in range(1 << r):
+        if i:
+            bit = (i & -i).bit_length() - 1
+            is_high = (i ^ (i >> 1)) >> bit & 1
+            weights[relevant[bit]] = high if is_high else low
+            c += 1 if is_high else -1
+        dist = _dijkstra(window, weights, src, stop=stop)
+        counts[min(dist[k] for k in targets), c] += 1
+    w = [p ** (r - c) * (1 - p) ** c for c in range(r + 1)]
     return [sum((n * w[c] for (time, c), n in counts.items() if time >= t), Fraction(0))
             for t in thresholds]
 
@@ -722,9 +801,13 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
 
     Both sides use passage times restricted to matched windows, mirroring the
     restricted-time device of the proof; results are window-restricted
-    relaxations of the infinite-lattice statement.  Exhaustive mode enumerates
-    every two-point assignment exactly: low, high and the thresholds are scaled
-    by the least common denominator of low and high, so the weights are ints.
+    relaxations of the infinite-lattice statement.  Exhaustive mode is exact:
+    on each window it enumerates the two-point assignments of the orbits that
+    can change the least target time (see _relevant_orbits) and fixes the
+    others, whose two values sum out to probability 1.  The budget bounds the
+    number of configurations searched, which is the report's config_count.
+    Low, high and the thresholds are scaled by the least common denominator of
+    low and high, so the weights are ints.
     """
     qdata = build_quotient(lattice, realization, kernel)
     window1 = instantiate_window(qdata.sub_lattice, qdata.sub_realization, r_quotient)
@@ -744,12 +827,14 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     if mode == "exhaustive":
         if distribution.family != "bernoulli":
             raise EstimatorError("exhaustive mode needs an atomic (bernoulli) distribution")
-        m1, mx = len(window1.orbit_keys), len(window_x.orbit_keys)
-        count = (1 << m1) + (1 << mx)
+        r1 = len(_relevant_orbits(window1, window1.vertex_index[source1], [target1_idx]))
+        rx = len(_relevant_orbits(window_x, window_x.vertex_index[source_x], fiber_idx))
+        count = (1 << r1) + (1 << rx)
         if count > budget:
             raise BudgetError(
                 f"exhaustive enumeration needs {count} configurations"
-                f" ({m1} + {mx} orbits), above the budget {budget}")
+                f" ({r1} of {len(window1.orbit_keys)} + {rx} of {len(window_x.orbit_keys)}"
+                f" orbits can change the time), above the budget {budget}")
         p, low, high = (_exact_fraction(v) for v in distribution.params)
         scale = math.lcm(low.denominator, high.denominator)
         low, high = int(low * scale), int(high * scale)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -200,6 +201,11 @@ class TestExitCodes:
         (["mu", "--preset", "cubic2", "--dist", "exponential:1",
           "--direction", "1e10000000,0"], {}),
         (["mu", "--config", "{tmp}/c.json"], {"c.json": {"direction": [10 ** 400, 0]}}),
+        (["quotient", "--preset", "cubic2", "--kernel", "0,0"], {}),
+        (["quotient", "--preset", "cubic2", "--kernel", "1,0,0"], {}),
+        (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 30},0;{-2 * 10 ** 30},0"], {}),
+        (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 30},0"], {}),
+        (["quotient", "--preset", "cubic3", "--kernel", f"{10 ** 30},1,0"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -210,7 +216,8 @@ class TestExitCodes:
             "target-index-fraction", "target-index-number", "lattice-missing-position",
             "kernel-fraction", "vertices-without-count", "lattice-nan-position",
             "grid-huge-integer", "dist-huge-integer", "direction-huge-exponent",
-            "direction-huge-integer"])
+            "direction-huge-integer", "kernel-zero-column", "kernel-wrong-length",
+            "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):
@@ -247,6 +254,26 @@ class TestReproducibility:
         csv_a = (tmp_path / "a" / "detail.csv").read_bytes()
         csv_b = (tmp_path / "b" / "detail.csv").read_bytes()
         assert csv_a == csv_b
+
+    def test_mu_writes_the_per_k_trace(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"directions": ["1,0", "1/2,1"]}))
+        out = tmp_path / "mu"
+        assert run_cli(["mu", "--config", str(config), "--preset", "cubic2",
+                        "--dist", "exponential:1", "--k-max", "3", "--replicas", "4",
+                        "--seed", "5", "--out", str(out), "--threads", "1"]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["direction", "k", "mean_normalized_time"]
+        assert [(tag, k) for tag, k, _ in rows[1:]] == [
+            (tag, str(k)) for tag in ("1,0", "1/2,1") for k in (1, 2, 3)]
+        summary = dict(line.split("=", 1) for line in
+                       (out / "summary.txt").read_text().splitlines()[:-1])
+        for tag, k, value in rows[1:]:
+            assert float(value) > 0
+            if k == "3":
+                assert float(value) == pytest.approx(float(summary[f"mu[{tag}]"]),
+                                                     rel=1e-12, abs=0)
 
     def test_summary_differs_only_in_timing_line(self, tmp_path):
         args = ["shape", "--preset", "cubic2", "--dist", "exponential:1",

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import bfs_hops, exhaustive_tail, zero_cluster_spans
 
@@ -27,7 +29,7 @@ from crystalfpp.estimate import (
 )
 from crystalfpp.fpp import MomentConditionError, TimeDistribution, sample_configuration
 from crystalfpp.graph_core import graph_from_edges
-from crystalfpp.lattice import build_custom, build_preset, instantiate_window
+from crystalfpp.lattice import LatticeError, build_custom, build_preset, instantiate_window
 from crystalfpp.quotient import KernelSublattice, build_quotient, covering_fiber
 
 DET1 = TimeDistribution.deterministic(1)
@@ -363,6 +365,67 @@ class TestLiftingInequality:
         if case == "unreachable":
             assert got == [1, 1, 1, 1]
 
+    # random line lattices: loops (a zero voltage makes a loop orbit), parallel
+    # edges, pendant vertices, and voltages up to 3, so the window may split
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_pruned_tail_matches_the_unpruned_oracle(self, data):
+        n = data.draw(st.integers(1, 3))
+        vertex = st.integers(0, n - 1)
+        edges = ([(i, i + 1, data.draw(st.integers(-1, 1))) for i in range(n - 1)]
+                 + [(0, 0, data.draw(st.integers(1, 3)))]
+                 + data.draw(st.lists(st.tuples(vertex, vertex, st.integers(-3, 3)),
+                                      max_size=3)))
+        voltage = {}
+        for i, (_, _, v) in enumerate(edges):
+            voltage[2 * i], voltage[2 * i + 1] = (v,), (-v,)
+        try:
+            lat, real = build_custom(graph_from_edges(n, [(a, b) for a, b, _ in edges]),
+                                     voltage, {u: (u / n,) for u in range(n)}, [[1.0]])
+        except LatticeError:  # the derived graph is disconnected
+            assume(False)
+        win = instantiate_window(lat, real, data.draw(st.integers(1, 2)))
+        assume(len(win.orbit_keys) <= 10)
+        vertices = st.integers(0, len(win.vertices) - 1)
+        src = data.draw(vertices)
+        targets = data.draw(st.lists(vertices, min_size=1, max_size=3, unique=True))
+        if data.draw(st.booleans()):
+            targets = [src] + [t for t in targets if t != src]
+        p = data.draw(st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(5, 9),
+                                       Fraction(0), Fraction(1, 2), Fraction(1)]))
+        low, high = data.draw(st.sampled_from([(0, 1), (1, 2), (1, 1), (2, 5)]))
+        thresholds = [0, 1, 2, 3, 5, 8]
+        got = estimate_module._enumerate_tail(win, win.vertices[src], targets, p, low, high,
+                                              thresholds)
+        assert got == exhaustive_tail(win, src, targets, p, low, high, thresholds)
+
+    def test_relevant_orbits_of_the_quotient_are_the_parallel_pair(self):
+        lat, real = build_preset("cubic2")
+        qdata = build_quotient(lat, real, KernelSublattice.of([(1, -1)], 2))
+        win = instantiate_window(qdata.sub_lattice, qdata.sub_realization, 5)
+        assert len(win.orbit_keys) == 20
+        source, target = win.vertex_index[(0, (0,))], win.vertex_index[(0, (1,))]
+        relevant = estimate_module._relevant_orbits(win, source, [target])
+        assert len(relevant) == 2
+        for j in relevant:
+            assert sorted(win.orbit_ends[j].tolist()) == sorted([source, target])
+
+    @pytest.mark.parametrize("r_quotient", [5, 12])
+    def test_exhaustive_count_is_the_searched_configurations(self, r_quotient):
+        lat, real = build_preset("cubic2")
+        kernel = KernelSublattice.of([(1, -1)], 2)
+
+        def check(r):
+            return lifting_inequality_check(
+                lat, real, kernel, TimeDistribution.bernoulli(0.5), (1,), [0, 1, 2, 3],
+                mode="exhaustive", r_quotient=r, r_cover=1)
+
+        report = check(r_quotient)
+        assert report.config_count == 4100
+        assert [(r.lhs_exact, r.rhs_exact) for r in report.rows] == [
+            (1, 1), (Fraction(1, 4), Fraction(95, 512)), (0, 0), (0, 0)]
+        assert report.rows == check(1).rows
+
     @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_threshold_is_a_value_error(self, mode, t):
@@ -380,6 +443,8 @@ class TestLiftingInequality:
                 TimeDistribution.bernoulli(0.5), (1,), [1],
                 mode="exhaustive", r_quotient=1, r_cover=2, budget=1 << 10)
         assert "configurations" in str(err.value)
+        assert f"{(1 << 2) + (1 << 40)} configurations" in str(err.value)
+        assert "2 of 4 + 40 of 40 orbits can change the time" in str(err.value)
 
     def test_exhaustive_needs_atomic_distribution(self):
         lat, real = build_preset("cubic2")

@@ -25,11 +25,13 @@ from crystalfpp.cli import (
 )
 from crystalfpp.fpp import FAMILIES, TimeDistribution
 from crystalfpp.lattice import (
+    LatticeError,
     build_preset,
     instantiate_window,
     lattice_from_text,
     lattice_to_text,
 )
+from crystalfpp.quotient import KernelSublattice, invariant_factors
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=500)
 
@@ -153,3 +155,39 @@ def test_untyped_config_values_raise_only_value_errors(key, value):
         UNTYPED_PARSERS[key](value)
     except ValueError:
         pass
+
+
+KERNEL_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30),
+                         st.sampled_from([2, -2, 10 ** 30, -10 ** 30]))
+
+
+@st.composite
+def kernel_columns(draw):
+    """Kernel columns that may be unit, zero, dependent, torsion, huge, or of the
+    wrong length."""
+    dim = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.one_of(
+        st.lists(KERNEL_ENTRY, min_size=dim, max_size=dim),
+        st.just([0] * dim),
+        st.integers(0, dim - 1).map(lambda i: [int(k == i) for k in range(dim)]),
+        st.integers(0, dim - 1).map(lambda i: [2 * (k == i) for k in range(dim)]),
+        st.lists(KERNEL_ENTRY, max_size=dim + 1).filter(lambda col: len(col) != dim)),
+        max_size=dim + 1))
+    if columns and draw(st.booleans()):
+        factor = draw(st.sampled_from([0, 1, -2, 10 ** 30]))
+        columns.append([factor * c for c in columns[0]])
+    return columns, dim
+
+
+@FUZZ
+@given(kernel_columns())
+def test_kernel_raises_only_lattice_errors(case):
+    columns, dim = case
+    try:
+        kernel = KernelSublattice.of(columns, dim)
+    except LatticeError:
+        return
+    assert kernel.columns == tuple(tuple(col) for col in columns)
+    assert kernel.rank <= dim
+    if columns:
+        assert invariant_factors(kernel.matrix()) == (1,) * kernel.rank
