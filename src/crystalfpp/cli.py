@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from .estimate import (
     monotonicity_experiment,
     positivity_scan,
 )
-from .fpp import FAMILIES, DistributionError, MomentConditionError, TimeDistribution
+from .fpp import FAMILIES, SAMPLER, DistributionError, MomentConditionError, TimeDistribution
 from .graph_core import GraphError
 from .lattice import (
     LatticeError,
@@ -330,6 +331,7 @@ def _provenance(config: dict, lattice=None, realization=None,
         f"crystalfpp_version={__version__}",
         f"numpy_version={np.__version__}",
         f"base_seed={config.get('base_seed')}",
+        f"sampler={SAMPLER}",
         "config=" + json.dumps({k: config[k] for k in sorted(config)
                                 if k not in ("out_dir", "threads")},
                                default=str, sort_keys=True),
@@ -339,6 +341,17 @@ def _provenance(config: dict, lattice=None, realization=None,
     if distribution is not None:
         lines.append(f"distribution={distribution.label()}")
     return lines
+
+
+def _windows_csv(estimates) -> str:
+    """windows.csv: how many replicas of each (name, replica radii) estimate
+    took their values on each window radius."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["estimate", "radius", "replicas"])
+    for name, radii in estimates:
+        writer.writerows([name, r, n] for r, n in sorted(Counter(radii).items()))
+    return out.getvalue()
 
 
 def _run_lattice(config: dict) -> ExperimentResult:
@@ -353,7 +366,7 @@ def _run_lattice(config: dict) -> ExperimentResult:
         f"edge_orbits={len(lat.base.edge_orbits())}",
         f"window_radius={radius}",
         f"window_vertices={len(window.vertices)}",
-        f"window_edge_orbits={len(window.orbit_keys)}",
+        f"window_edge_orbits={len(window.orbit_ends)}",
         f"edge_connectivity={conn.value}",
         f"certificate_paths={len(conn.paths)}",
     ]
@@ -403,6 +416,7 @@ def _run_mu(config: dict) -> ExperimentResult:
     trace = io.StringIO()
     trace_writer = csv.writer(trace)
     trace_writer.writerow(["direction", "k", "mean_normalized_time"])
+    windows = []
     for vec in dirs:
         est = estimate_time_constant(
             lat, real, dist, vec, int(config["k_max"]), int(config["replicas"]),
@@ -418,7 +432,9 @@ def _run_mu(config: dict) -> ExperimentResult:
         ]
         rows += [[tag, i, repr(v)] for i, v in enumerate(est.samples)]
         trace_writer.writerows([tag, k, repr(v)] for k, v in enumerate(est.trace, 1))
-    return ExperimentResult(0, summary, header, rows, {"trace.csv": trace.getvalue()})
+        windows.append((f"mu[{tag}]", est.replica_radii))
+    return ExperimentResult(0, summary, header, rows, {"trace.csv": trace.getvalue(),
+                                                       "windows.csv": _windows_csv(windows)})
 
 
 def _run_shape(config: dict) -> ExperimentResult:
@@ -447,7 +463,7 @@ def _run_shape(config: dict) -> ExperimentResult:
         tag = ",".join(str(c) for c in z)
         for i in range(shape.replicas):
             rows.append([j, tag, i, repr(float(shape.samples[i, j]))])
-    files = {}
+    files = {"windows.csv": _windows_csv([("shape", shape.replica_radii)])}
     if lat.dim == 2:
         files["shape.svg"] = render_shape_svg(shape)
     return ExperimentResult(0, summary, header, rows, files)
@@ -471,6 +487,7 @@ def _run_monotonicity(config: dict) -> ExperimentResult:
     header = ["direction", "mu_quotient", "se_quotient", "mu_affine", "se_affine",
               "slack", "fiber_size", "passed"]
     rows = []
+    windows = []
     for e in report.entries:
         tag = ",".join(str(c) for c in e.direction)
         summary.append(
@@ -479,8 +496,11 @@ def _run_monotonicity(config: dict) -> ExperimentResult:
         rows.append([tag, repr(e.mu_quotient), repr(e.se_quotient),
                      repr(e.mu_affine), repr(e.se_affine), repr(e.slack),
                      e.fiber_size, e.passed])
+        windows += [(f"mu_quotient[{tag}]", e.replica_radii_quotient),
+                    (f"mu_affine[{tag}]", e.replica_radii_cover)]
     summary.append(f"verdict={'pass' if report.all_passed else 'fail'}")
-    return ExperimentResult(0 if report.all_passed else 2, summary, header, rows)
+    return ExperimentResult(0 if report.all_passed else 2, summary, header, rows,
+                            {"windows.csv": _windows_csv(windows)})
 
 
 def _run_lift_check(config: dict) -> ExperimentResult:

@@ -11,8 +11,11 @@ serial and parallel runs produce identical output.
 Each replica asks fpp.passage_times for its target groups only (one vertex
 per target for mu and shapes, the whole fiber on the cover side), and for one
 flag over the watched groups: a group is flagged when its least time changes
-once the margin is forbidden.  A window is dropped at its first flagged
-replica, in replica order, and every replica reruns on the enlarged window.
+once the margin is forbidden.  Every replica runs on the first window; only
+the flagged ones rerun on the enlarged window, and so on.  A replica keeps its
+edge times when its window grows (see fpp.sample_configuration), so its value,
+the time at the first radius where it is unflagged, depends on its own stream
+alone and the replicas stay i.i.d.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,38 +154,24 @@ def _pool_call(i):
     return fn(ctx, i)
 
 
-def _take(results, until) -> list:
-    """The results up to and including the first one that satisfies until."""
-    out = []
-    for r in results:
-        out.append(r)
-        if until is not None and until(r):
-            break
-    return out
+def _map_replicas(fn, ctx, indices, workers: int) -> list:
+    """[fn(ctx, i) for i in indices], in that order.
 
-
-def _map_replicas(fn, ctx, n: int, workers: int, until=None):
-    """Run fn(ctx, i) for i in range(n); results in replica order.
-
-    With a predicate until, the run ends at the first result that satisfies
-    it, the last one returned.  With workers > 1 a pool of min(workers, n)
-    processes is used; results are identical to the serial run because every
-    replica derives its stream from its own index and the pool's results are
-    read in order.  An early end cancels the chunks not yet started and waits
-    for the running ones, so no worker outlives the call.
+    With workers > 1 a pool of min(workers, len(indices)) processes is used;
+    results are identical to the serial run because every replica derives its
+    stream from its own index and the pool's results are read in order.  The
+    pool is shut down before the call returns, so no worker outlives it.
     """
-    workers = min(workers, n)
+    indices = list(indices)
+    workers = min(workers, len(indices))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        ex = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=((fn, ctx),))
-        try:
-            return _take(ex.map(_pool_call, range(n), chunksize=max(1, n // (workers * 4))),
-                         until)
-        finally:
-            ex.shutdown(cancel_futures=True)
-    return _take((fn(ctx, i) for i in range(n)), until)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                 initargs=((fn, ctx),)) as ex:
+            return list(ex.map(_pool_call, indices,
+                               chunksize=max(1, len(indices) // (workers * 4))))
+    return [fn(ctx, i) for i in indices]
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float]:
@@ -199,6 +187,7 @@ MARGIN = 1            # outer layers the restricted search forbids: the boundary
 SLACK_LAYERS = 3      # first-window room past the farthest target, for bending routes
 FIBER_HALO = 6        # cover-side room: the fiber spreads around the affine foot
 MAX_ENLARGEMENTS = 4  # beyond this a flagged window is an error, not a larger run
+POOL_MIN_SHARE = 2    # replicas per pool worker: starting one costs about one solve
 
 
 def _replica_times(ctx, i):
@@ -211,19 +200,29 @@ def _replica_times(ctx, i):
 def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
                         distribution: TimeDistribution, reach: int, targets, watched,
                         replicas: int, base_seed: int, seed_role: int, workers: int):
-    """Replica times at the groups of vertex indices targets(window), on an
-    unflagged window.
+    """Replica times at the groups of vertex indices targets(window), each
+    taken on the first window where the replica is unflagged.
 
     A group's time is the least time of its members, and a replica is flagged
     when a group at a position in watched is (see fpp.passage_times).  The
     first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach
-    bounds the targets' translation coordinates.  A window is dropped at its
-    first flagged replica: R grows by max(2, R // 2) and all replicas rerun, at
-    most MAX_ENLARGEMENTS times.  Returns (per-replica group times, groups, R,
-    enlargements).
+    bounds the targets' translation coordinates.  Every pending replica runs
+    on the window and the unflagged ones keep their times; the flagged ones
+    rerun on the window with R grown by max(2, R // 2), at most
+    MAX_ENLARGEMENTS times.  A replica's configuration on a window is its
+    configuration on any larger window restricted to it, so its kept value is
+    a function of its own edge times and the replicas stay i.i.d.; drawing
+    the flagged replicas afresh instead would select on the flag.  A batch
+    starts at most one pool worker per POOL_MIN_SHARE replicas, so the usual
+    handful of flagged replicas reruns serially: a pool would save at most one
+    solve and hold a forked copy of the enlarged window per worker.  Returns
+    (per-replica group times, the groups on the last window, its R,
+    enlargements, per-replica R).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
     radius = reach + MARGIN + SLACK_LAYERS
+    kept, radii = [None] * replicas, [0] * replicas
+    pending = range(replicas)
     enlargements = 0
     while True:
         window = instantiate_window(lattice, realization, radius)
@@ -231,13 +230,22 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
         if not all(groups):
             raise EstimatorError("no target vertex inside the window")
         ctx = (window, distribution, base_seed, seed_role, source, groups, watched)
-        results = _map_replicas(_replica_times, ctx, replicas, workers, until=itemgetter(1))
-        if not any(flagged for _, flagged in results):
-            return [times for times, _ in results], groups, radius, enlargements
+        results = _map_replicas(_replica_times, ctx, pending,
+                                min(workers, max(1, len(pending) // POOL_MIN_SHARE)))
+        flagged = []
+        for i, (times, flag) in zip(pending, results):
+            if flag:
+                flagged.append(i)
+            else:
+                kept[i], radii[i] = times, radius
+        if not flagged:
+            return kept, groups, radius, enlargements, radii
         enlargements += 1
         if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
                 f"boundary flags persisted after {MAX_ENLARGEMENTS} window enlargements")
+        del window, groups, ctx, results  # free this window before the next one is built
+        pending = flagged
         radius += max(2, radius // 2)
 
 
@@ -264,7 +272,8 @@ class TimeConstantEstimate:
 
     samples holds the per-replica normalized values T(0, k_max N x)/(k_max N);
     trace holds their mean at every k (convergence profile, upper-biased for
-    small k).
+    small k).  replica_radii holds the window radius each replica's value was
+    taken at; radius_used is the largest.
     """
 
     direction: tuple[Fraction, ...]
@@ -277,6 +286,7 @@ class TimeConstantEstimate:
     k_max: int
     replicas: int
     radius_used: int
+    replica_radii: tuple[int, ...]
     enlargements: int
     base_seed: int
     seed_role: int
@@ -294,7 +304,8 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     """Monte Carlo time constant along a rational direction.
 
     The window follows the policy of _unflagged_replicas: it starts past the
-    farthest target and grows until no final sample is boundary-flagged.
+    farthest target, and it grows for the boundary-flagged replicas only
+    until none is flagged.
     Refuses to run when the moment condition for the shape theorem fails,
     with the analytic witness in the error.
     """
@@ -307,7 +318,7 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
                                                edge_connectivity)
 
     u0 = lattice.base.vertices[0]
-    results, _, radius, enlargements = _unflagged_replicas(
+    results, _, radius, enlargements, radii = _unflagged_replicas(
         lattice, realization, distribution,
         k_max * max(abs(c) for c in step),
         lambda w: [[w.vertex_index[u0, tuple(k * c for c in step)]]
@@ -322,7 +333,7 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     return TimeConstantEstimate(
         direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
         samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
-        enlargements=enlargements, base_seed=base_seed, seed_role=seed_role,
+        replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed, seed_role=seed_role,
         distribution_label=distribution.label(),
         lattice_id=lattice_hash(lattice, realization),
         edge_connectivity=edge_connectivity, moment_witness=witness)
@@ -360,6 +371,7 @@ class ShapeEstimate:
     distribution_label: str
     lattice_id: str
     samples: np.ndarray | None = None  # replicas x n_dirs normalized values
+    replica_radii: tuple[int, ...] = ()  # window radius of each replica's values
 
     @classmethod
     def from_samples(cls, realization: Realization, directions: Sequence[tuple[int, ...]],
@@ -367,7 +379,7 @@ class ShapeEstimate:
         """Assemble the shape from a replicas x directions matrix of normalized times.
 
         meta carries the bookkeeping fields (k_max, replicas, radius_used,
-        base_seed, distribution_label, lattice_id).
+        base_seed, distribution_label, lattice_id, and optionally replica_radii).
         """
         rho = realization.period_matrix()
         d = len(rho)
@@ -442,6 +454,8 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
 
     One shortest-path run per replica serves every direction (single source).
     """
+    if k_max < 1 or replicas < 1:
+        raise ValueError("k_max and replicas must be positive")
     d = lattice.dim
     _moment_guard(lattice, realization, distribution, edge_connectivity)
     if d == 2:
@@ -454,7 +468,7 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
         raise EstimatorError("no directions to estimate")
 
     u0 = lattice.base.vertices[0]
-    results, _, radius, _ = _unflagged_replicas(
+    results, _, radius, _, radii = _unflagged_replicas(
         lattice, realization, distribution,
         k_max * max(max(abs(c) for c in z) for z in dirs),
         lambda w: [[w.vertex_index[u0, tuple(k_max * c for c in z)]] for z in dirs],
@@ -462,8 +476,8 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     samples = np.array(results) / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
-        radius_used=radius, base_seed=base_seed, distribution_label=distribution.label(),
-        lattice_id=lattice_hash(lattice, realization))
+        radius_used=radius, replica_radii=tuple(radii), base_seed=base_seed,
+        distribution_label=distribution.label(), lattice_id=lattice_hash(lattice, realization))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +572,8 @@ class MonotonicityEntry:
     slack: float
     fiber_size: int
     radius_cover: int
+    replica_radii_quotient: tuple[int, ...]
+    replica_radii_cover: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
@@ -611,7 +627,7 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         foot = qdata.p_matrix.T @ (qdata.sub_realization.period_matrix()
                                    @ np.array(target1, dtype=float))
         z_near = rho_inv @ foot
-        results, (fiber_idx,), radius, _ = _unflagged_replicas(
+        results, (fiber_idx,), radius, _, radii = _unflagged_replicas(
             lattice, realization, distribution,
             int(np.ceil(np.max(np.abs(z_near)))) + FIBER_HALO,
             lambda w: [[w.vertex_index[v] for v in covering_fiber(qdata, (u0, target1), w)]],
@@ -624,7 +640,8 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         entries.append(MonotonicityEntry(
             direction=coords, mu_quotient=est1.point_estimate,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,
-            slack=slack, fiber_size=len(fiber_idx), radius_cover=radius))
+            slack=slack, fiber_size=len(fiber_idx), radius_cover=radius,
+            replica_radii_quotient=est1.replica_radii, replica_radii_cover=tuple(radii)))
     return MonotonicityReport(qdata, tuple(entries), k_max, replicas, base_seed,
                               distribution.label())
 
@@ -758,7 +775,7 @@ def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
     src = window.vertex_index[source]
     relevant = _relevant_orbits(window, src, targets)
     r = len(relevant)
-    weights = [high] * len(window.orbit_keys)
+    weights = [high] * len(window.orbit_ends)
     for j in relevant:
         weights[j] = low
     stop = _stop_table([targets])
@@ -833,7 +850,7 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         if count > budget:
             raise BudgetError(
                 f"exhaustive enumeration needs {count} configurations"
-                f" ({r1} of {len(window1.orbit_keys)} + {rx} of {len(window_x.orbit_keys)}"
+                f" ({r1} of {len(window1.orbit_ends)} + {rx} of {len(window_x.orbit_ends)}"
                 f" orbits can change the time), above the budget {budget}")
         p, low, high = (_exact_fraction(v) for v in distribution.params)
         scale = math.lcm(low.denominator, high.denominator)
@@ -848,9 +865,11 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
 
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
     ctx = (window1, window_x, distribution, base_seed, source1, target1_idx,
            source_x, fiber_idx)
-    results = _map_replicas(_lift_mc_replica, ctx, replicas, workers)
+    results = _map_replicas(_lift_mc_replica, ctx, range(replicas), workers)
     rows = []
     for t in thresholds:
         lhs_hat = sum(t1 >= t for t1, _ in results) / replicas

@@ -181,7 +181,10 @@ def replica_seed(base_seed: int, replica: int, role: int = 0) -> np.random.SeedS
 
     Streams are spawned via numpy SeedSequence keys, so replica streams are
     independent and non-overlapping, and joint experiments on a lattice and
-    its quotient (role 0 and 1) draw from disjoint streams.
+    its quotient (role 0 and 1) draw from disjoint streams.  A replica's
+    stream does not depend on the window: sample_configuration writes it onto
+    the orbits shell by shell, so the replica keeps its edge times on every
+    window it is rerun on.
     """
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(role, replica))
 
@@ -207,19 +210,27 @@ class Configuration:
         return lines
 
 
+# the sampling rule of sample_configuration, recorded in every run's provenance
+SAMPLER = "philox-shell-v1"
+
+
 def sample_configuration(window: Window, distribution: TimeDistribution,
                          seed) -> Configuration:
     """I.i.d. times per orbit; reproducible from (window, distribution, seed).
 
-    seed may be an int, a SeedSequence, or the (base, replica, role) triple
-    produced by replica_seed.
+    seed may be an int or a SeedSequence, such as the stream of replica_seed.
+    Draw i of the Philox stream goes to orbit window.sample_order[i], the
+    orbits taken shell by shell.  The stream emits its draws in order, so a
+    configuration on the [-r, r]^d window is exactly the configuration of the
+    same seed on any larger window, restricted to the smaller one.
     """
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
     else:
         seq = np.random.SeedSequence(int(seed))
     rng = np.random.Generator(np.random.Philox(seq))
-    times = distribution.sample(rng, len(window.orbit_keys)).astype(float)
+    times = np.empty(len(window.orbit_ends))
+    times[window.sample_order] = distribution.sample(rng, len(times))
     entropy = (seq.entropy, tuple(seq.spawn_key))
     return Configuration(window, distribution, times, entropy)
 

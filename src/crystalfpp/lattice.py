@@ -7,6 +7,7 @@ computation happens on box windows of translation indices.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -153,8 +154,10 @@ class Window:
     Vertices are ordered by (index, base vertex); undirected edge orbits are
     keyed by (canonical half-edge id, origin index) and ordered likewise.  The
     edge table orbit_ends holds each orbit's two endpoint vertex indices in
-    orbit_keys order; the adjacency and every edge-level computation read it.
-    Immutable after construction.
+    that order, and orbit_eids each orbit's canonical half-edge id; the
+    adjacency and every edge-level computation read them.  The orbit keys and
+    their index map are built from the table only when asked for, since the
+    estimators never need them.  Immutable after construction.
     """
 
     def __init__(self, lattice: CrystalLattice, realization: Realization, radius: int):
@@ -186,26 +189,24 @@ class Window:
         # canonical half-edges give the orbits; a voltage shifts a flat index by strides @ v
         slot = {u: i for i, u in enumerate(base.vertices)}
         strides = (2 * radius + 1) ** np.arange(d - 1, -1, -1)
-        orbit_keys: list[tuple[int, tuple[int, ...]]] = []
-        ends = []
+        eids, ends = [], []
         directed = 0
         for eid, e in base.half_edges.items():
             vec = np.array(lattice.voltage[eid], dtype=int)
             origins = np.flatnonzero(np.all(np.abs(index_array + vec) <= radius, axis=1))
             directed += len(origins)
             if eid < e.inverse:
-                orbit_keys += [(eid, self.indices[i]) for i in origins.tolist()]
+                eids.append(np.full(len(origins), eid, dtype=np.int32))
                 ends.append(np.column_stack((origins * nb + slot[e.origin],
                                              (origins + strides @ vec) * nb + slot[e.terminus])))
-        if 2 * len(orbit_keys) != directed:
-            raise LatticeError("edge orbit count does not halve the directed instance count")
-        self.orbit_keys: tuple[tuple[int, tuple[int, ...]], ...] = tuple(orbit_keys)
+        self.orbit_eids: np.ndarray = np.concatenate(eids)  # m canonical half-edge ids
         self.orbit_ends: np.ndarray = np.concatenate(ends, dtype=np.int32)  # m x 2 vertex indices
+        if 2 * len(self.orbit_ends) != directed:
+            raise LatticeError("edge orbit count does not halve the directed instance count")
 
-        # one Python int per number, shared by the index maps and the adjacency
-        nums = np.arange(max(len(self.vertices), len(orbit_keys))).astype(object)
+        # one Python int per number, shared by the vertex index map and the adjacency
+        nums = np.arange(max(len(self.vertices), len(self.orbit_ends))).astype(object)
         self.vertex_index: dict[Vertex, int] = dict(zip(self.vertices, nums))
-        self.orbit_index: dict[tuple[int, tuple[int, ...]], int] = dict(zip(orbit_keys, nums))
 
         # adjacency rows of sorted (neighbour, orbit) pairs, a loop listed once; the
         # temporaries are dropped as soon as they are used, to keep peak memory low
@@ -215,11 +216,35 @@ class Window:
         ids = np.concatenate((np.arange(len(a), dtype=np.int32), twice))
         order = np.lexsort((ids, cols, rows))
         counts = np.bincount(rows, minlength=len(self.vertices)).tolist()
-        del orbit_keys, ends, twice, rows
+        del eids, ends, twice, rows
         pairs = zip(nums[cols[order]], nums[ids[order]])
         del cols, ids, order
         self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(itertools.islice(pairs, k)) for k in counts)
+
+    @functools.cached_property
+    def orbit_keys(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(canonical half-edge id, origin index) of each orbit, in table order."""
+        return tuple(zip(self.orbit_eids.tolist(),
+                         (self.vertices[a][1] for a in self.orbit_ends[:, 0].tolist())))
+
+    @functools.cached_property
+    def orbit_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Orbit key -> position in the edge table."""
+        return {key: i for i, key in enumerate(self.orbit_keys)}
+
+    @functools.cached_property
+    def sample_order(self) -> np.ndarray:
+        """Orbit positions in the order configurations are drawn.
+
+        Orbits go by shell, the larger infinity-norm of their endpoints'
+        translation indices, and keep table order within a shell.  The orbits
+        of the [-r, r]^d window are exactly the orbits of shell at most r, in
+        the same table order, so the first entries of this order name, one by
+        one, the same orbits as the whole order of every smaller window.
+        """
+        shell = np.abs(self.vertex_translations[self.orbit_ends]).max(axis=(1, 2), initial=0)
+        return np.argsort(shell, kind="stable")
 
     def contains(self, u: int, z: Sequence[int]) -> bool:
         r = self.radius
@@ -248,7 +273,7 @@ class Window:
 
     def __repr__(self) -> str:
         return (f"Window(R={self.radius}, {len(self.vertices)} vertices,"
-                f" {len(self.orbit_keys)} edge orbits)")
+                f" {len(self.orbit_ends)} edge orbits)")
 
 
 def instantiate_window(lattice: CrystalLattice, realization: Realization, radius: int) -> Window:
@@ -459,7 +484,7 @@ def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization
     interior_ids = [i for i in range(len(win.vertices)) if interior[i]]
     if len(interior_ids) < 2:
         raise LatticeError("window too small: no interior vertex pair")
-    big = len(win.orbit_keys) + 1
+    big = len(win.orbit_ends) + 1
     ends = win.orbit_ends[win.orbit_ends[:, 0] != win.orbit_ends[:, 1]]
     arcs = []
     for (ia, ib), inner in zip(ends.tolist(), interior[ends].all(axis=1).tolist()):

@@ -239,6 +239,12 @@ def _gram_schmidt(columns: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.array(basis)
 
 
+def _too_degenerate(kernel: KernelSublattice, failure: str) -> str:
+    """The error for a valid integer kernel whose realized projection fails in floats."""
+    columns = ";".join(",".join(str(c) for c in col) for col in kernel.columns)
+    return f"kernel {columns} is too degenerate for a float64 projection: {failure}"
+
+
 def build_quotient(lattice: CrystalLattice, realization: Realization,
                    kernel: KernelSublattice) -> QuotientData:
     """Quotient lattice, its realization, and the projection data.
@@ -275,13 +281,13 @@ def build_quotient(lattice: CrystalLattice, realization: Realization,
     section_real = rho @ np.array(section, dtype=float)
     span = _gram_schmidt(kernel_real) if r else np.zeros((0, d))
     if span.shape[0] != r:
-        raise RankError("realized kernel subspace is rank deficient")
+        raise RankError(_too_degenerate(kernel, "realized kernel subspace is rank deficient"))
     complement = section_real.copy()
     for b in span:
         complement -= np.outer(b, b @ complement)
     p_matrix = _gram_schmidt(complement)
     if p_matrix.shape[0] != d1:
-        raise RankError("projection image is rank deficient")
+        raise RankError(_too_degenerate(kernel, "projection image is rank deficient"))
 
     q_arr = np.array(q, dtype=int)
     voltage1 = {eid: tuple(int(c) for c in q_arr @ np.array(vec))
@@ -290,7 +296,10 @@ def build_quotient(lattice: CrystalLattice, realization: Realization,
     period1 = p_matrix @ section_real
     positions1 = {u: tuple(float(c) for c in p_matrix @ np.array(p))
                   for u, p in realization.positions.items()}
-    sub_realization = Realization(positions1, tuple(map(tuple, period1)))
+    try:
+        sub_realization = Realization(positions1, tuple(map(tuple, period1)))
+    except LatticeError as exc:
+        raise LatticeError(_too_degenerate(kernel, f"quotient {exc}")) from None
     return QuotientData(lattice, realization, kernel, q, section, p_matrix,
                         sub_lattice, sub_realization)
 

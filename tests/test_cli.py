@@ -1,10 +1,15 @@
 import csv
 import json
+import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crystalfpp.estimate as estimate_module
 from crystalfpp.cli import (
     ConfigError,
     build_parser,
@@ -14,9 +19,10 @@ from crystalfpp.cli import (
     render_shape_svg,
     run_experiment,
 )
-from crystalfpp.estimate import estimate_shape
-from crystalfpp.fpp import TimeDistribution
-from crystalfpp.lattice import build_preset, lattice_to_text
+from crystalfpp.estimate import EstimatorError, estimate_shape
+from crystalfpp.fpp import DistributionError, MomentConditionError, TimeDistribution
+from crystalfpp.graph_core import GraphError
+from crystalfpp.lattice import LatticeError, WindowLimitError, build_preset, lattice_to_text
 
 
 def run_cli(args):
@@ -206,6 +212,7 @@ class TestExitCodes:
         (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 30},0;{-2 * 10 ** 30},0"], {}),
         (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 30},0"], {}),
         (["quotient", "--preset", "cubic3", "--kernel", f"{10 ** 30},1,0"], {}),
+        (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 8},1"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -217,7 +224,8 @@ class TestExitCodes:
             "kernel-fraction", "vertices-without-count", "lattice-nan-position",
             "grid-huge-integer", "dist-huge-integer", "direction-huge-exponent",
             "direction-huge-integer", "kernel-zero-column", "kernel-wrong-length",
-            "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry"])
+            "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry",
+            "kernel-singular-quotient-period"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):
@@ -295,6 +303,94 @@ class TestReproducibility:
         run_cli(base + ["--threads", "2", "--out", str(tmp_path / "par")])
         assert ((tmp_path / "serial" / "detail.csv").read_bytes()
                 == (tmp_path / "par" / "detail.csv").read_bytes())
+
+
+class TestWindowAccounting:
+    @pytest.mark.parametrize("experiment,extra,estimates", [
+        ("mu", {"directions": ["1,0", "1,1"]}, ["mu[1,0]", "mu[1,1]"]),
+        ("shape", {"n_dirs": 8}, ["shape"]),
+        ("monotonicity", {"kernel": "1,-1", "direction": "2"},
+         ["mu_quotient[2]", "mu_affine[2]"]),
+    ])
+    def test_windows_csv_counts_every_replica_once(self, monkeypatch, experiment, extra,
+                                                   estimates):
+        # no slack layers and no fiber halo: first windows too small for some replicas
+        monkeypatch.setattr(estimate_module, "SLACK_LAYERS", 0)
+        monkeypatch.setattr(estimate_module, "FIBER_HALO", 0)
+        result = run_experiment({
+            "experiment": experiment, "preset": "cubic2", "distribution": "exponential:1",
+            "k_max": 4, "replicas": 12, "base_seed": 3, "threads": 1, "max_coord": 2,
+            "zero_threshold": 0.02, "slack_std_errors": 3.0, **extra})
+        rows = list(csv.reader(result.extra_files["windows.csv"].splitlines()))
+        assert rows[0] == ["estimate", "radius", "replicas"]
+        assert [name for name, _, _ in rows[1:]] == sorted(
+            (name for name, _, _ in rows[1:]), key=estimates.index)
+        summary = dict(line.split("=", 1) for line in result.summary)
+        used = {"mu[1,0]": summary.get("radius_used[1,0]"),
+                "mu[1,1]": summary.get("radius_used[1,1]"),
+                "shape": summary.get("radius_used")}
+        for name in estimates:
+            radii = [int(r) for e, r, _ in rows[1:] if e == name]
+            assert radii == sorted(set(radii))
+            assert sum(int(n) for e, _, n in rows[1:] if e == name) == 12
+            if name in used:
+                assert max(radii) == int(used[name])
+        assert len(rows) - 1 > len(estimates)  # some estimate used two radii
+
+    def test_summary_records_the_sampler(self):
+        result = run_experiment({"experiment": "lattice", "preset": "cubic2", "radius": 1})
+        assert "sampler=philox-shell-v1" in result.summary
+
+
+# what main maps to exit code 1
+CONTRACT_ERRORS = (ConfigError, LatticeError, GraphError, DistributionError,
+                   MomentConditionError, EstimatorError, WindowLimitError, ValueError)
+
+
+# a small valid config per experiment, and the malformed values one field may take
+FUZZ_VALID = {
+    "mu": {"direction": "1,0"},
+    "shape": {"n_dirs": 4, "max_coord": 1},
+    "monotonicity": {"kernel": "1,-1", "direction": "2"},
+    "lift-check": {"kernel": "1,-1", "target_index": "1", "mode": "exhaustive",
+                   "distribution": "bernoulli:0.5", "t_grid": [0.0, 1.0]},
+    "positivity": {"direction": "1,0", "p_grid": [0.0, 1.0]},
+}
+FUZZ_MALFORMED = {
+    "k_max": [-1, 0, 10 ** 12], "replicas": [-1, 0], "n_dirs": [-1, 0],
+    "max_coord": [-1, 0], "r_quotient": [-1, 10 ** 12], "r_cover": [-1, 10 ** 12],
+    "budget": [0, 1], "direction": ["1,0,0", "0,0", "2", "1,0", "1/3,2/3"],
+    "directions": [[], ["1,0", "1"], ["1,0", "0,1"]], "kernel": ["1", "1,0;0,1", "2,0"],
+    "target_index": ["1,0", [], [10 ** 12], "0"],
+    "t_grid": [[], [math.nan], [-1.0], [0.0, 10 ** 12]],
+    "p_grid": [[], [0.5, math.nan], [2.0], [-0.5], [1.0, 0.0]],
+    "slack_std_errors": [math.nan, -1.0, 0.0], "mode": ["monte_carlo", "neither"],
+    "distribution": ["exponential:1", "bernoulli:0.5", "deterministic:0"],
+    "preset": ["cubic1", "triangular"],
+}
+
+
+class TestRunnerFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_runners_return_or_raise_a_contract_error(self, data):
+        experiment = data.draw(st.sampled_from(sorted(FUZZ_VALID)))
+        config = {"experiment": experiment, "preset": "cubic2",
+                  "distribution": "exponential:1", "k_max": 2, "replicas": 2,
+                  "base_seed": 1, "zero_threshold": 0.02, "slack_std_errors": 3.0,
+                  "r_quotient": 1, "r_cover": 1, "budget": 1 << 22,
+                  "threads": data.draw(st.sampled_from([1, 2])),
+                  **FUZZ_VALID[experiment]}
+        for key in data.draw(st.lists(st.sampled_from(sorted(FUZZ_MALFORMED)),
+                                      max_size=3, unique=True)):
+            config[key] = data.draw(st.sampled_from(FUZZ_MALFORMED[key]))
+        try:
+            result = run_experiment(config)
+        except CONTRACT_ERRORS:
+            pass
+        else:
+            assert result.exit_code in (0, 2)
+        assert not multiprocessing.active_children()
 
 
 class TestLatticeAndQuotientCommands:

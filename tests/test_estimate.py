@@ -491,13 +491,13 @@ class TestPositivity:
 
 
 # Each estimator on cubic2 with exponential(1) times, run by TestWindowEnlargement
-# with no slack layers and no fiber halo, so the first window is too small:
-# (run() -> reported radius, the (lattice dim, radius) of every replica batch).
-# The monotonicity run maps the quotient replicas once on the line, then the
-# cover replicas on two windows.
+# with no slack layers and no fiber halo, so the first window is too small for
+# some replicas: (run() -> reported radius, the (lattice dim, radius) of every
+# replica batch).  The monotonicity run maps the quotient replicas once on the
+# line, then the cover replicas on three windows.
 def _mu_run(workers=1):
     lat, real = build_preset("cubic2")
-    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3,
+    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 4,
                                   workers=workers).radius_used
 
 
@@ -516,7 +516,7 @@ def _monotonicity_run(workers=1):
 ENLARGING_RUNS = {
     "mu": (_mu_run, [(2, 6), (2, 9)]),
     "shape": (_shape_run, [(2, 4), (2, 6)]),
-    "monotonicity": (_monotonicity_run, [(1, 7), (2, 5), (2, 7)]),
+    "monotonicity": (_monotonicity_run, [(1, 7), (2, 5), (2, 7), (2, 10)]),
 }
 
 
@@ -527,44 +527,41 @@ class TestWindowEnlargement:
         monkeypatch.setattr(estimate_module, "FIBER_HALO", 0)
 
     @pytest.fixture
-    def batches(self, monkeypatch):
-        """(lattice dim, window radius) of every _map_replicas call, in order."""
-        seen = []
-        original = estimate_module._map_replicas
-
-        def counting(fn, ctx, n, workers, until=None):
-            seen.append((ctx[0].lattice.dim, ctx[0].radius))
-            return original(fn, ctx, n, workers, until)
-
-        monkeypatch.setattr(estimate_module, "_map_replicas", counting)
-        return seen
-
-    @pytest.fixture
     def returned(self, monkeypatch):
-        """(fn, ctx, n, results) of every _map_replicas call, in order."""
+        """(fn, ctx, indices, results) of every _map_replicas call, in order."""
         seen = []
         original = estimate_module._map_replicas
 
-        def recording(fn, ctx, n, workers, until=None):
-            results = original(fn, ctx, n, workers, until)
-            seen.append((fn, ctx, n, results))
+        def recording(fn, ctx, indices, workers):
+            indices = list(indices)
+            results = original(fn, ctx, indices, workers)
+            seen.append((fn, ctx, indices, results))
             return results
 
         monkeypatch.setattr(estimate_module, "_map_replicas", recording)
         return seen
 
-    def test_time_constant_enlarges_once(self, batches):
+    def test_time_constant_enlarges_once(self, returned):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 3)
+        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 4)
         assert est.enlargements == 1
         assert est.radius_used == 9  # 6 + max(2, 6 // 2)
-        assert len(batches) == est.enlargements + 1
+        assert len(returned) == est.enlargements + 1
+        # a replica's value is taken on the first window where it is unflagged,
+        # and equals a direct call of the replica worker there
+        for (fn, ctx, indices, results) in returned:
+            for i, (times, flagged) in zip(indices, results):
+                assert (times, flagged) == fn(ctx, i)
+                if not flagged:
+                    assert est.replica_radii[i] == ctx[0].radius
+                    assert est.samples[i] == times[-1] / 5
+        assert sorted(set(est.replica_radii)) == [6, 9]
 
     @pytest.mark.parametrize("name", ENLARGING_RUNS)
-    def test_one_batch_per_window_and_the_radius_rule(self, batches, name):
+    def test_one_batch_per_window_and_the_radius_rule(self, returned, name):
         run, expected = ENLARGING_RUNS[name]
         assert run() == expected[-1][1]
-        assert batches == expected
+        assert [(ctx[0].lattice.dim, ctx[0].radius) for _, ctx, _, _ in returned] == expected
 
     @pytest.mark.parametrize("name", ENLARGING_RUNS)
     def test_no_enlargement_allowed_raises(self, monkeypatch, name):
@@ -574,24 +571,74 @@ class TestWindowEnlargement:
             run()
 
     @pytest.mark.parametrize("name", ENLARGING_RUNS)
-    def test_a_flagged_window_stops_at_its_first_flagged_replica(self, returned, name):
+    def test_only_the_flagged_replicas_rerun(self, returned, name):
         ENLARGING_RUNS[name][0]()
-        dims = [ctx[0].lattice.dim for _, ctx, _, _ in returned]
-        for k, (fn, ctx, n, results) in enumerate(returned):
-            every = [fn(ctx, i) for i in range(n)]
-            flagged = [i for i, (_, f) in enumerate(every) if f]
-            # a window is flagged exactly when the next batch is on a larger one
-            assert bool(flagged) == (dims[k + 1:k + 2] == [dims[k]])
-            assert results == (every[:flagged[0] + 1] if flagged else every)
-        assert any(len(results) < n for _, _, n, results in returned)
+        for k, (fn, ctx, indices, results) in enumerate(returned):
+            assert results == [fn(ctx, i) for i in indices]
+            flagged = [i for i, (_, f) in zip(indices, results) if f]
+            following = returned[k + 1:k + 2]
+            if flagged:
+                # the next batch is the same estimate on a larger window
+                _, next_ctx, next_indices, _ = following[0]
+                assert next_indices == flagged
+                assert next_ctx[0].lattice == ctx[0].lattice
+                assert next_ctx[0].radius > ctx[0].radius
+            else:
+                # a new estimate starts, with every replica
+                assert all(idx == returned[0][2] for _, _, idx, _ in following)
+        assert returned[0][2] == list(range(len(returned[0][2])))
+        assert any(len(idx) < len(returned[0][2]) for _, _, idx, _ in returned)
 
     @pytest.mark.parametrize("name", ENLARGING_RUNS)
     def test_pool_stops_where_the_serial_run_stops(self, returned, name):
         run, _ = ENLARGING_RUNS[name]
         assert run(workers=2) == run()
         half = len(returned) // 2
-        assert [r for *_, r in returned[:half]] == [r for *_, r in returned[half:]]
+        assert ([(idx, r) for _, _, idx, r in returned[:half]]
+                == [(idx, r) for _, _, idx, r in returned[half:]])
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("name, batches", [
+        ("mu", [(20, 2), (2, 1)]),
+        ("shape", [(10, 2), (6, 2)]),
+        ("monotonicity", [(10, 2), (10, 2), (3, 1), (1, 1)]),
+    ])
+    def test_a_pool_worker_gets_at_least_two_replicas(self, monkeypatch, name, batches):
+        seen = []
+        original = estimate_module._map_replicas
+
+        def recording(fn, ctx, indices, workers):
+            indices = list(indices)
+            seen.append((len(indices), workers))
+            return original(fn, ctx, indices, workers)
+
+        monkeypatch.setattr(estimate_module, "_map_replicas", recording)
+        ENLARGING_RUNS[name][0](workers=2)
+        assert seen == batches  # (replicas, workers) of each batch
+        assert not multiprocessing.active_children()
+
+    def test_monotonicity_records_each_replica_radius(self):
+        lat, real = build_preset("cubic2")
+        entry, = monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
+                                         [(2,)], 3, 10, 1).entries
+        assert sorted(set(entry.replica_radii_cover)) == [5, 7, 10]
+        assert entry.radius_cover == 10
+        assert set(entry.replica_radii_quotient) == {7}
+        assert len(entry.replica_radii_cover) == len(entry.replica_radii_quotient) == 10
+
+    def test_shape_builds_no_orbit_keys(self, monkeypatch):
+        built = []
+        original = estimate_module.instantiate_window
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(estimate_module, "instantiate_window", recording)
+        _shape_run()
+        assert [w.radius for w in built] == [4, 6]
+        assert not any("orbit_keys" in w.__dict__ or "orbit_index" in w.__dict__
+                       for w in built)
 
 
 class TestReplicaMap:
@@ -605,11 +652,14 @@ class TestReplicaMap:
                 sizes.append(max_workers)
                 initializer(*initargs)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(estimate_module, "_POOL_PAYLOAD", None)
@@ -619,17 +669,13 @@ class TestReplicaMap:
         def fn(ctx, i):
             return ctx * i
 
-        assert estimate_module._map_replicas(fn, 10, 3, 1000) == [0, 10, 20]
-        assert estimate_module._map_replicas(fn, 10, 1, 1000) == [0]
-        assert estimate_module._map_replicas(fn, 10, 5, 4) == [0, 10, 20, 30, 40]
+        assert estimate_module._map_replicas(fn, 10, range(3), 1000) == [0, 10, 20]
+        assert estimate_module._map_replicas(fn, 10, [7], 1000) == [70]
+        assert estimate_module._map_replicas(fn, 10, [1, 4, 9, 3, 5], 4) == [10, 40, 90, 30, 50]
         assert pools == [3, 4]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_until_ends_at_the_first_match(self, pools, workers):
-        def fn(ctx, i):
-            return i * i
-
-        assert estimate_module._map_replicas(fn, None, 10, workers,
-                                             until=lambda r: r > 5) == [0, 1, 4, 9]
-        assert estimate_module._map_replicas(fn, None, 3, workers,
-                                             until=lambda r: r > 5) == [0, 1, 4]
+    def test_maps_the_given_indices_in_order(self, workers):
+        assert estimate_module._map_replicas(pow, 2, [5, 0, 3], workers) == [32, 1, 8]
+        assert estimate_module._map_replicas(pow, 2, [], workers) == []
+        assert not multiprocessing.active_children()

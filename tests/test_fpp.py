@@ -99,16 +99,73 @@ class TestSampling:
         assert (cfg.times == 0.0).all()
 
     def test_golden_exponential_regression(self):
-        # frozen on first run; regenerated bit-identically ever since
+        # frozen on first run; the draws, read in sample order, regenerate
+        # bit-identically ever since
         win = window_of("cubic2", 2)
         cfg = sample_configuration(win, TimeDistribution.exponential(1), 20240801)
         assert len(cfg.times) == 40
+        draws = cfg.times[win.sample_order]
         expected_head = [0.77621030717764, 1.2411973110834844, 1.7597976635195196,
                          2.9486152949691413, 0.5451938592570886]
-        assert [float(x) for x in cfg.times[:5]] == expected_head
-        digest = hashlib.sha256(cfg.times.tobytes()).hexdigest()
+        assert [float(x) for x in draws[:5]] == expected_head
+        digest = hashlib.sha256(draws.tobytes()).hexdigest()
         assert digest == ("6d6fd86ef7a61c73ad4dbe6dc76d2e9de07913c8"
                           "f03cc7141a7ba5d06df4c648")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(preset=st.sampled_from(["cubic1", "cubic2", "triangular", "honeycomb", "diamond"]),
+           dist=st.sampled_from([TimeDistribution.exponential(1),
+                                 TimeDistribution.bernoulli(0.3, 0.5, 2.0),
+                                 TimeDistribution.pareto(2.5), TimeDistribution.uniform(0.5, 2),
+                                 TimeDistribution.deterministic(1)]),
+           radius=st.integers(0, 3), grow=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32), replica=st.integers(0, 50))
+    def test_configurations_nest_across_windows(self, preset, dist, radius, grow, seed,
+                                                replica):
+        small = sample_configuration(window_of(preset, radius), dist,
+                                     replica_seed(seed, replica))
+        large = sample_configuration(window_of(preset, radius + grow), dist,
+                                     replica_seed(seed, replica))
+        assert all(small.time_of(key) == large.time_of(key)
+                   for key in small.window.orbit_keys)
+        m = len(small.times)
+        assert (large.times[large.window.sample_order][:m]
+                == small.times[small.window.sample_order]).all()
+
+    def test_full_passage_time_is_nonincreasing_in_the_radius(self):
+        # the larger window holds every path of the smaller one, at the same times
+        lat, real = build_preset("cubic2")
+        target = (0, (2, 2))
+        falls = 0
+        for seed in range(10):
+            times = []
+            for radius in range(2, 8):
+                win = instantiate_window(lat, real, radius)
+                cfg = sample_configuration(win, TimeDistribution.exponential(1),
+                                           replica_seed(seed, 0))
+                (t,), _ = passage_times(cfg, (0, (0, 0)),
+                                        targets=[[win.vertex_index[target]]])
+                times.append(t)
+            assert all(a >= b for a, b in zip(times, times[1:]))
+            falls += sum(a > b for a, b in zip(times, times[1:]))
+        assert falls
+
+    @pytest.mark.parametrize("preset", ["cubic2", "honeycomb", "diamond"])
+    def test_lazy_orbit_keys_keep_their_values(self, preset):
+        lat, real = build_preset(preset)
+        win = instantiate_window(lat, real, 2)
+        cfg = sample_configuration(win, TimeDistribution.exponential(1), 3)
+        assert "orbit_keys" not in win.__dict__
+        # the keys as the window once listed them: canonical half-edges in
+        # order, each with its origins in index order
+        keys = [(eid, z) for eid, e in lat.base.half_edges.items() if eid < e.inverse
+                for z in win.indices
+                if win.contains(e.terminus, tuple(a + b for a, b in zip(z, lat.voltage[eid])))]
+        lines = cfg.to_csv_lines()
+        assert win.orbit_keys == tuple(keys)
+        for j, (eid, z) in enumerate(keys):
+            assert cfg.time_of((eid, z)) == float(cfg.times[j])
+            assert lines[1 + j] == f"{eid}@{';'.join(map(str, z))},{float(cfg.times[j])!r}"
 
     def test_replica_streams_distinct_and_reproducible(self):
         win = window_of("cubic2", 2)

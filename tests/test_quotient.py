@@ -137,6 +137,18 @@ class TestBuildQuotient:
         with pytest.raises(TorsionError):
             build_quotient(lat, real, KernelSublattice(((2, 0),), 2))
 
+    @pytest.mark.parametrize("preset,column,failure", [
+        ("cubic3", (10 ** 30, 1, 0), "projection image is rank deficient"),
+        ("cubic2", (10 ** 8, 1), "quotient period matrix is singular"),
+    ])
+    def test_float_degenerate_kernel_is_named(self, preset, column, failure):
+        lat, real = build_preset(preset)
+        kernel = KernelSublattice.of([column], lat.dim)
+        text = ",".join(map(str, column))
+        with pytest.raises(LatticeError, match=(
+                f"^kernel {text} is too degenerate for a float64 projection: {failure}$")):
+            build_quotient(lat, real, kernel)
+
     def test_projection_rows_orthonormal(self):
         lat, real = build_preset("honeycomb")
         q = build_quotient(lat, real, KernelSublattice.of([(1, 0)], 2))
