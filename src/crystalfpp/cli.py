@@ -78,7 +78,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
     The schema's properties are the known keys (others reject) and carry the
     defaults.  Every value from the file and from flags must meet its schema
-    type, minimum and enum, and a number must be finite.
+    type, minimum, maximum and enum, and a number must be finite.
     """
     properties = config_schema()["properties"]
     sources = []
@@ -113,6 +113,8 @@ def _schema_problem(value, spec: dict) -> str | None:
         return "must be finite"
     if "minimum" in spec and value < spec["minimum"]:
         return f"must be at least {spec['minimum']}"
+    if "maximum" in spec and value > spec["maximum"]:
+        return f"must be at most {spec['maximum']}"
     if "enum" in spec and value not in spec["enum"]:
         return f"must be one of {', '.join(spec['enum'])}"
     return None

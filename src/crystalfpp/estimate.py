@@ -448,8 +448,7 @@ def angular_direction_grid(realization: Realization, n_dirs: int,
 def estimate_shape(lattice: CrystalLattice, realization: Realization,
                    distribution: TimeDistribution, n_dirs: int, k_max: int,
                    replicas: int, base_seed: int, *, max_coord: int = 2,
-                   zero_threshold: float = 0.02, seed_role: int = 0, workers: int = 1,
-                   edge_connectivity: int | None = None) -> ShapeEstimate:
+                   zero_threshold: float = 0.02, workers: int = 1) -> ShapeEstimate:
     """Estimate the limit shape from directional time constants.
 
     One shortest-path run per replica serves every direction (single source).
@@ -457,7 +456,7 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     if k_max < 1 or replicas < 1:
         raise ValueError("k_max and replicas must be positive")
     d = lattice.dim
-    _moment_guard(lattice, realization, distribution, edge_connectivity)
+    _moment_guard(lattice, realization, distribution)
     if d == 2:
         dirs = angular_direction_grid(realization, n_dirs, max_coord)
     elif d == 1:
@@ -472,7 +471,7 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
         lattice, realization, distribution,
         k_max * max(max(abs(c) for c in z) for z in dirs),
         lambda w: [[w.vertex_index[u0, tuple(k_max * c for c in z)]] for z in dirs],
-        range(len(dirs)), replicas, base_seed, seed_role, workers)
+        range(len(dirs)), replicas, base_seed, 0, workers)
     samples = np.array(results) / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
@@ -794,19 +793,6 @@ def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
             for t in thresholds]
 
 
-def _lift_mc_replica(ctx, i):
-    """Replica i's quotient time T1(0, x1) and least cover time over the fiber."""
-    window1, window_x, distribution, base_seed, source1, target1_idx, source_x, \
-        fiber_idx = ctx
-    c1 = sample_configuration(window1, distribution, replica_seed(base_seed, i, 1))
-    cx = sample_configuration(window_x, distribution, replica_seed(base_seed, i, 0))
-    d1 = _dijkstra(window1, c1.times.tolist(), window1.vertex_index[source1],
-                   stop=_stop_table([[target1_idx]]))
-    dx = _dijkstra(window_x, cx.times.tolist(), window_x.vertex_index[source_x],
-                   stop=_stop_table([fiber_idx]))
-    return d1[target1_idx], min(dx[j] for j in fiber_idx)
-
-
 def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
                              kernel: KernelSublattice, distribution: TimeDistribution,
                              target_index: Sequence[int], t_grid: Sequence[float],
@@ -867,13 +853,15 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         raise ValueError(f"unknown mode {mode!r}")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-    ctx = (window1, window_x, distribution, base_seed, source1, target1_idx,
-           source_x, fiber_idx)
-    results = _map_replicas(_lift_mc_replica, ctx, range(replicas), workers)
+    # each side's least target time per replica; no group is watched, so no flag
+    quotient_times, fiber_mins = (
+        [t for (t,), _ in _map_replicas(_replica_times, ctx, range(replicas), workers)]
+        for ctx in ((window1, distribution, base_seed, 1, source1, [[target1_idx]], ()),
+                    (window_x, distribution, base_seed, 0, source_x, [fiber_idx], ())))
     rows = []
     for t in thresholds:
-        lhs_hat = sum(t1 >= t for t1, _ in results) / replicas
-        rhs_hat = sum(fiber_min >= t for _, fiber_min in results) / replicas
+        lhs_hat = sum(t1 >= t for t1 in quotient_times) / replicas
+        rhs_hat = sum(fiber_min >= t for fiber_min in fiber_mins) / replicas
         se_l = math.sqrt(lhs_hat * (1 - lhs_hat) / replicas)
         se_r = math.sqrt(rhs_hat * (1 - rhs_hat) / replicas)
         slack = slack_z * math.sqrt(se_l ** 2 + se_r ** 2)

@@ -4,17 +4,17 @@ Passage times are exact single-source shortest paths on a window, with a
 value-based boundary flag: a target is flagged when forbidding the outer
 margin layers changes its distance, i.e. when the window may be biasing the
 time upward.  Estimators never use flagged samples; they enlarge the window.
-The estimators ask for target groups only: the full search stops once every
+passage_times asks for target groups only: the full search stops once every
 group has a settled vertex, a parent chain inside the interior certifies a
 group unflagged, and the margin-restricted search runs only for the groups
-left in doubt.
+left in doubt.  Point and affine passage are target groups of one vertex
+each; percolation_region is one whole-window search.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -291,59 +291,27 @@ def _stop_table(groups) -> dict:
     return table
 
 
-@dataclass
-class PassageResult:
-    """All passage times from one source, with per-target boundary flags."""
-
-    window: Window
-    source: Vertex
-    times: np.ndarray
-    restricted_times: np.ndarray
-    margin: int
-
-    def time_of(self, vertex: Vertex) -> float:
-        return float(self.times[self.window.vertex_index[vertex]])
-
-    def boundary_touched(self, vertex: Vertex) -> bool:
-        i = self.window.vertex_index[vertex]
-        return bool(self.flags[i])
-
-    @property
-    def flags(self) -> np.ndarray:
-        """True where excluding the margin changes the distance."""
-        return self.times != self.restricted_times
-
-
 def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
-                  targets=None, watched=()):
-    """Exact shortest-path times under the configuration, plus boundary flags.
+                  targets, watched=()) -> tuple[list[float], bool]:
+    """Exact shortest-path times to groups of targets, plus a boundary flag.
 
-    The restricted search forbids the outer `margin` translation layers; a
-    target whose restricted distance differs from the full one is flagged,
-    meaning every optimal route needs the margin and the window may be too
-    small.
+    targets are groups of vertex indices, and a group's time is the least
+    time of its members.  The restricted search forbids the outer `margin`
+    translation layers; a group is flagged when its least restricted time
+    differs from its least full time, meaning every optimal route needs the
+    margin and the window may be too small.  Returns (group times, flagged),
+    where flagged is whether any group at a position in watched is flagged.
 
-    Without targets, both searches cover the whole window and the result is a
-    PassageResult.  With targets, groups of vertex indices whose time is the
-    least time of their members, the result is (group times, flagged), and
-    flagged is whether any group at a position in watched is flagged: its
-    least full time differs from its least restricted time.  Both searches
-    then stop at the groups.  The full search goes first and records parents;
-    a watched group whose first least member has a parent chain inside the
-    interior is not flagged, since the restricted search can take that chain,
-    whose left-to-right sum is the full label, and cannot do better than the
-    full search.  Only the other watched groups, an unreachable one included,
-    get a restricted search.
+    Both searches stop at the groups.  The full search goes first and records
+    parents; a watched group whose first least member has a parent chain
+    inside the interior is not flagged, since the restricted search can take
+    that chain, whose left-to-right sum is the full label, and cannot do
+    better than the full search.  Only the other watched groups, an
+    unreachable one included, get a restricted search.
     """
     window = config.window
     src = window.vertex_index[source]
     weights = config.times.tolist()
-    if targets is None:
-        allowed = window.interior_mask(margin).tolist()
-        return PassageResult(window, source,
-                             np.array(_dijkstra(window, weights, src), dtype=float),
-                             np.array(_dijkstra(window, weights, src, allowed), dtype=float),
-                             margin)
     parent = [-1] * len(window.vertices)
     full = _dijkstra(window, weights, src, stop=_stop_table(targets), parent=parent)
     times = [float(min(full[v] for v in group)) for group in targets]
@@ -381,8 +349,9 @@ def passage_between_points(config: Configuration, x: Sequence[float],
     a = closest_vertex(x, window)
     b = closest_vertex(y, window)
     lo, hi = sorted((a, b), key=lambda v: (v[1], v[0]))
-    res = passage_times(config, lo, margin=margin)
-    return PointPassage(res.time_of(hi), res.boundary_touched(hi), lo, hi)
+    (time,), flagged = passage_times(config, lo, margin,
+                                     targets=[[window.vertex_index[hi]]], watched=[0])
+    return PointPassage(time, flagged, lo, hi)
 
 
 def passage_to_affine(config: Configuration, x: Sequence[float],
@@ -412,19 +381,21 @@ def passage_to_affine(config: Configuration, x: Sequence[float],
         raise AffineSnapError(
             f"no realized vertex within {snap:g} of the affine subspace in this window")
     src = closest_vertex(x, window)
-    res = passage_times(config, src, margin=margin)
-    best = min(candidates, key=lambda i: (res.times[i], window.vertices[i][1],
-                                          window.vertices[i][0]))
-    flagged = bool(res.flags[candidates].any())
-    return PointPassage(float(res.times[best]), flagged, src, window.vertices[best])
+    candidates = candidates.tolist()
+    times, flagged = passage_times(config, src, margin, targets=[[i] for i in candidates],
+                                   watched=range(len(candidates)))
+    # window order is (index, base vertex) order, the tie-break among equal times
+    time, best = min(zip(times, candidates))
+    return PointPassage(time, flagged, src, window.vertices[best])
 
 
-def percolation_region(result: PassageResult, t: float) -> list:
-    """Window vertices reachable within time t from the source."""
+def percolation_region(config: Configuration, source: Vertex, t: float) -> list:
+    """Window vertices reachable within time t from the source, in window order."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    idx = np.nonzero(result.times <= t)[0]
-    return [result.window.vertices[i] for i in idx]
+    window = config.window
+    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source])
+    return [v for v, d in zip(window.vertices, dist) if d <= t]
 
 
 def restricted_passage(config: Configuration, x: Sequence[float], y: Sequence[float],

@@ -39,6 +39,10 @@ class WindowLimitError(RuntimeError):
 Vertex = tuple[int, tuple[int, ...]]
 # The memory guard: a cubic2 window takes about 1.1 kB per vertex (CPython 3.11).
 MAX_WINDOW_VERTICES = 400_000
+# build_custom's injectivity probe: the window radius it checks, and the least
+# distance two realized vertices may have
+PROBE_RADIUS = 2
+DEGENERACY_TOL = 1e-9
 
 
 class CrystalLattice:
@@ -372,9 +376,7 @@ def build_preset(name: str) -> tuple[CrystalLattice, Realization]:
 
 def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
                  positions: Mapping[int, Sequence[float]],
-                 period: Sequence[Sequence[float]],
-                 probe_radius: int = 2,
-                 degeneracy_tol: float = 1e-9) -> tuple[CrystalLattice, Realization]:
+                 period: Sequence[Sequence[float]]) -> tuple[CrystalLattice, Realization]:
     """Validated lattice + realization from raw parts.
 
     Checks voltage antisymmetry, connectivity of the derived graph, a
@@ -382,11 +384,11 @@ def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
     """
     lat = CrystalLattice(base, len(period), voltage)
     real = _realization_of(lat, positions, period)
-    win = instantiate_window(lat, real, probe_radius)
+    win = instantiate_window(lat, real, PROBE_RADIUS)
     order = np.lexsort(win.coords.T[::-1])
     pts = win.coords[order]
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if len(pts) > 1 and float(gaps.min()) < degeneracy_tol:
+    if len(pts) > 1 and float(gaps.min()) < DEGENERACY_TOL:
         raise LatticeError("realization is degenerate: two vertices realize the same point")
     return lat, real
 

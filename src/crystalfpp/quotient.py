@@ -305,7 +305,7 @@ def build_quotient(lattice: CrystalLattice, realization: Realization,
 
 
 def covering_fiber(qdata: QuotientData, quotient_vertex: tuple[int, tuple[int, ...]],
-                   window: Window, quotient_window: Window | None = None) -> list:
+                   window: Window) -> list:
     """All window vertices of the cover mapping onto the given quotient vertex.
 
     The fiber is the set of (u, z) with the same base vertex whose index is
@@ -314,8 +314,6 @@ def covering_fiber(qdata: QuotientData, quotient_vertex: tuple[int, tuple[int, .
     u1, z1 = quotient_vertex
     if not qdata.lattice.base.has_vertex(u1):
         raise LatticeError(f"unknown base vertex {u1}")
-    if quotient_window is not None and not quotient_window.contains(u1, z1):
-        raise LatticeError(f"quotient vertex {quotient_vertex} is outside the quotient window")
     if len(z1) != qdata.dim_quotient:
         raise LatticeError(f"quotient vertex {quotient_vertex} has the wrong dimension")
     hits = np.all(window.vertex_translations @ np.array(qdata.q, dtype=int).T

@@ -3,12 +3,15 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crystalfpp
 import crystalfpp.estimate as estimate_module
 from crystalfpp.cli import (
     ConfigError,
@@ -27,6 +30,20 @@ from crystalfpp.lattice import LatticeError, WindowLimitError, build_preset, lat
 
 def run_cli(args):
     return main(args)
+
+
+# a child interpreter that imports crystalfpp from the same place as this one
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(crystalfpp.__file__)), os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    # scipy.sparse.csgraph alone raises a run's peak RSS by about 26 MB
+    code = ("import sys, crystalfpp.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'networkx'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=PACKAGE_ENV, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -64,11 +81,17 @@ class TestConfig:
         ({"max_coord": 0}, "max_coord must be at least 1"),
         ({"slack_std_errors": -1.0}, "slack_std_errors must be at least 0"),
         ({"mode": "sampled"}, "mode must be one of"),
+        ({"max_coord": 17}, "max_coord must be at most 16"),
+        ({"n_dirs": 361}, "n_dirs must be at most 360"),
     ])
     def test_flag_values_meet_the_schema(self, flags, message):
         with pytest.raises(ConfigError) as err:
             load_config(None, flags)
         assert message in str(err.value)
+
+    def test_caps_are_allowed(self):
+        config = load_config(None, {"max_coord": 16, "n_dirs": 360})
+        assert (config["max_coord"], config["n_dirs"]) == (16, 360)
 
     def test_integers_too_large_for_a_float_load(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -239,6 +262,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
+    def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):
+        # the direction grid loops over (2 max_coord + 1)^2 candidates, so an
+        # unchecked --max-coord 100000 would run for hours instead of failing
+        out = tmp_path / "bad"
+        proc = subprocess.run(
+            [sys.executable, "-m", "crystalfpp.cli", "shape", "--preset", "cubic2",
+             "--dist", "exponential:1", "--k-max", "2", "--replicas", "2", flag, "100000",
+             "--out", str(out), "--threads", "1"],
+            capture_output=True, text=True, timeout=5, env=PACKAGE_ENV)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_fail_verdict_exits_two(self):

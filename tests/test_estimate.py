@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_hops, exhaustive_tail, zero_cluster_spans
+from oracles import bellman_ford, bfs_hops, exhaustive_tail, zero_cluster_spans
 
 import crystalfpp.estimate as estimate_module
 from crystalfpp.estimate import (
@@ -27,7 +27,12 @@ from crystalfpp.estimate import (
     positivity_scan,
     rational_direction,
 )
-from crystalfpp.fpp import MomentConditionError, TimeDistribution, sample_configuration
+from crystalfpp.fpp import (
+    MomentConditionError,
+    TimeDistribution,
+    replica_seed,
+    sample_configuration,
+)
 from crystalfpp.graph_core import graph_from_edges
 from crystalfpp.lattice import LatticeError, build_custom, build_preset, instantiate_window
 from crystalfpp.quotient import KernelSublattice, build_quotient, covering_fiber
@@ -427,6 +432,15 @@ class TestLiftingInequality:
         assert report.rows == check(1).rows
 
     @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+    def test_target_outside_the_quotient_window_is_refused(self, mode):
+        lat, real = build_preset("cubic2")
+        with pytest.raises(EstimatorError, match="outside the quotient window"):
+            lifting_inequality_check(
+                lat, real, KernelSublattice.of([(1, -1)], 2),
+                TimeDistribution.bernoulli(0.5), (5,), [1], mode=mode, replicas=10,
+                r_quotient=1)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_non_finite_threshold_is_a_value_error(self, mode, t):
         lat, real = build_preset("cubic2")
@@ -469,6 +483,35 @@ class TestLiftingInequality:
             lat, real, KernelSublattice.of([(1, -1)], 2), EXP1, (1,), [0.0],
             mode="monte_carlo", replicas=200, base_seed=2)
         assert report.rows[0].lhs == 1.0 and report.rows[0].rhs == 1.0
+
+    @pytest.mark.parametrize("dist", [EXP1, TimeDistribution.bernoulli(0.5)])
+    def test_monte_carlo_rows_match_oracle_replicas(self, dist):
+        # each replica's quotient time (role 1) and fiber minimum (role 0),
+        # recomputed by relaxation on its own configurations
+        lat, real = build_preset("cubic2")
+        kernel = KernelSublattice.of([(1, -1)], 2)
+        t_grid, replicas, seed = [0.0, 0.5, 1.0, 2.0, 3.0], 200, 6
+        report = lifting_inequality_check(lat, real, kernel, dist, (1,), t_grid,
+                                          mode="monte_carlo", replicas=replicas,
+                                          base_seed=seed, r_quotient=2, r_cover=2)
+        q = build_quotient(lat, real, kernel)
+        win1 = instantiate_window(q.sub_lattice, q.sub_realization, 2)
+        win_x = instantiate_window(lat, real, 2)
+        fiber = [win_x.vertex_index[v] for v in covering_fiber(q, (0, (1,)), win_x)]
+        quotient_times, fiber_mins = [], []
+        for i in range(replicas):
+            c1 = sample_configuration(win1, dist, replica_seed(seed, i, 1))
+            cx = sample_configuration(win_x, dist, replica_seed(seed, i, 0))
+            quotient_times.append(bellman_ford(win1, c1.times, win1.vertex_index[0, (0,)])
+                                  [win1.vertex_index[0, (1,)]])
+            dx = bellman_ford(win_x, cx.times, win_x.vertex_index[0, (0, 0)])
+            fiber_mins.append(min(dx[j] for j in fiber))
+        assert [r.t for r in report.rows] == t_grid
+        for row in report.rows:
+            assert row.lhs == sum(x >= row.t for x in quotient_times) / replicas
+            assert row.rhs == sum(x >= row.t for x in fiber_mins) / replicas
+        assert any(0 < r.lhs < 1 for r in report.rows)
+        assert any(0 < r.rhs < 1 for r in report.rows)
 
 
 class TestPositivity:

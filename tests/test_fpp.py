@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import bellman_ford
@@ -31,6 +31,11 @@ from crystalfpp.lattice import build_custom, build_preset, instantiate_window
 def window_of(preset, radius):
     lat, real = build_preset(preset)
     return instantiate_window(lat, real, radius)
+
+
+def whole_window(cfg, source):
+    """Passage times from source to every window vertex."""
+    return _dijkstra(cfg.window, cfg.times.tolist(), cfg.window.vertex_index[source])
 
 
 def random_window_times(data):
@@ -192,15 +197,14 @@ class TestPassageTimes:
     def test_unit_times_give_l1_distance(self):
         win = window_of("cubic2", 8)
         cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
-        res = passage_times(cfg, (0, (0, 0)))
-        assert res.time_of((0, (3, 4))) == 7.0
-        assert res.time_of((0, (0, 0))) == 0.0
+        dist = whole_window(cfg, (0, (0, 0)))
+        assert dist[win.vertex_index[0, (3, 4)]] == 7.0
+        assert dist[win.vertex_index[0, (0, 0)]] == 0.0
 
     def test_all_zero_times(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.bernoulli(1.0), 1)
-        res = passage_times(cfg, (0, (0, 0)))
-        assert (res.times == 0.0).all()
+        assert all(t == 0.0 for t in whole_window(cfg, (0, (0, 0))))
 
     @pytest.mark.parametrize("preset,radius", [
         ("cubic2", 3), ("triangular", 3), ("honeycomb", 3),
@@ -212,24 +216,20 @@ class TestPassageTimes:
         src = (lat.base.vertices[0], (0,) * lat.dim)
         for seed in range(10):
             cfg = sample_configuration(win, TimeDistribution.exponential(1), seed)
-            res = passage_times(cfg, src)
             oracle = bellman_ford(win, cfg.times, win.vertex_index[src])
-            assert [float(t) for t in res.times] == oracle
+            assert [float(t) for t in whole_window(cfg, src)] == oracle
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.data())
     def test_repaired_times_match_oracles_on_random_lattices(self, data):
         win, times = random_window_times(data)
-        cfg = Configuration(win, TimeDistribution.deterministic(1), np.array(times), ())
         src = data.draw(st.integers(0, len(win.vertices) - 1))
         margin = data.draw(st.integers(0, 2))
 
-        res = passage_times(cfg, win.vertices[src], margin=margin)
         interior = win.interior_mask(margin).tolist()
-        assert res.times.tolist() == bellman_ford(win, times, src)
-        assert res.restricted_times.tolist() == bellman_ford(win, times, src, interior)
-        fresh = np.array(_dijkstra(win, times, src), dtype=float)
-        assert res.times.tobytes() == fresh.tobytes()
+        assert [float(t) for t in _dijkstra(win, times, src)] == bellman_ford(win, times, src)
+        assert ([float(t) for t in _dijkstra(win, times, src, interior)]
+                == bellman_ford(win, times, src, interior))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
@@ -264,19 +264,19 @@ class TestPassageTimes:
         assert got == least and all(type(t) is float for t in got)
         assert flagged == any(least[g] != min(restricted[v] for v in groups[g])
                               for g in watched)
-        res = passage_times(cfg, win.vertices[src], margin)
-        assert got == [float(res.times[g].min()) for g in groups]
-        if all(len(g) == 1 for g in groups):
-            assert flagged == any(bool(res.flags[groups[g][0]]) for g in watched)
 
     def test_boundary_flags(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
-        res = passage_times(cfg, (0, (0, 0)), margin=1)
+
+        def flagged(z):
+            return passage_times(cfg, (0, (0, 0)), 1, targets=[[win.vertex_index[0, z]]],
+                                 watched=[0])[1]
+
         # interior targets have margin-free optimal paths under unit times
-        assert not res.boundary_touched((0, (2, 0)))
+        assert not flagged((2, 0))
         # margin targets are always flagged
-        assert res.boundary_touched((0, (3, 0)))
+        assert flagged((3, 0))
 
     def test_group_flag_compares_least_times(self):
         win = window_of("cubic2", 3)
@@ -300,12 +300,24 @@ class TestPassageTimes:
         for seed in range(20):
             cfg = sample_configuration(win, TimeDistribution.exponential(1), seed)
             sources = rng.sample(verts, 5)
-            results = {v: passage_times(cfg, v) for v in sources}
+            results = {v: whole_window(cfg, v) for v in sources}
             for _ in range(100):
                 x, y = rng.sample(sources, 2)
-                z = rng.choice(verts)
-                assert results[x].time_of(z) <= (results[x].time_of(y)
-                                                 + results[y].time_of(z) + 1e-9)
+                z = win.vertex_index[rng.choice(verts)]
+                assert results[x][z] <= (results[x][win.vertex_index[y]]
+                                         + results[y][z] + 1e-9)
+
+
+# the laws of the oracle checks: continuous, two-point with zeros and ties, constant
+ORACLE_LAWS = [TimeDistribution.exponential(1), TimeDistribution.bernoulli(0.5),
+               TimeDistribution.uniform(0.5, 2), TimeDistribution.deterministic(1)]
+
+
+def oracle_times(cfg, src, margin):
+    """Bellman-Ford times from src on the whole window and off the margin."""
+    win = cfg.window
+    return (bellman_ford(win, cfg.times, src),
+            bellman_ford(win, cfg.times, src, win.interior_mask(margin).tolist()))
 
 
 class TestPointPassage:
@@ -334,6 +346,22 @@ class TestPointPassage:
         oracle = bellman_ford(win, cfg.times, win.vertex_index[(0, (0, 0))])
         assert got.time == oracle[win.vertex_index[(0, (2, 1))]]
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(preset=st.sampled_from(["cubic2", "triangular", "honeycomb"]),
+           dist=st.sampled_from(ORACLE_LAWS), radius=st.integers(1, 3),
+           margin=st.integers(0, 2), seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_time_and_flag_match_oracles(self, preset, dist, radius, margin, seed, data):
+        win = window_of(preset, radius)
+        cfg = sample_configuration(win, dist, seed)
+        i, j = (data.draw(st.integers(0, len(win.vertices) - 1)) for _ in range(2))
+        got = passage_between_points(cfg, win.coords[i], win.coords[j], margin)
+        lo, hi = sorted((win.vertices[i], win.vertices[j]), key=lambda v: (v[1], v[0]))
+        assert (got.source, got.target) == (lo, hi)
+        full, restricted = oracle_times(cfg, win.vertex_index[lo], margin)
+        b = win.vertex_index[hi]
+        assert got.time == full[b]
+        assert got.boundary_touched == (full[b] != restricted[b])
+
 
 class TestPassageToAffine:
     def test_line_at_distance_three(self):
@@ -355,6 +383,33 @@ class TestPassageToAffine:
         oracle = bellman_ford(win, cfg.times, win.vertex_index[(0, (0, 0))])
         column = [oracle[win.vertex_index[(0, (2, b))]] for b in range(-4, 5)]
         assert res.time == min(column)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(preset=st.sampled_from(["cubic2", "triangular", "honeycomb"]),
+           dist=st.sampled_from(ORACLE_LAWS), radius=st.integers(1, 3),
+           margin=st.integers(0, 2), seed=st.integers(0, 2 ** 32),
+           normal=st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+           data=st.data())
+    def test_time_target_and_flag_match_oracles(self, preset, dist, radius, margin, seed,
+                                                normal, data):
+        win = window_of(preset, radius)
+        cfg = sample_configuration(win, dist, seed)
+        n = len(win.vertices)
+        src = data.draw(st.integers(0, n - 1))
+        # a line through a window vertex, so it has at least one candidate
+        normal = np.array(normal, dtype=float)
+        offset = float(normal @ win.coords[data.draw(st.integers(0, n - 1))])
+        gap = np.abs(win.coords @ normal - offset) / np.linalg.norm(normal)
+        snap = win.min_edge_length() / 2
+        assume(not np.any(np.abs(gap - snap) < 1e-9))
+        candidates = np.flatnonzero(gap <= snap).tolist()
+
+        got = passage_to_affine(cfg, win.coords[src], ([normal.tolist()], [offset]), margin)
+        full, restricted = oracle_times(cfg, src, margin)
+        time, best = min((full[c], c) for c in candidates)
+        assert got.source == win.vertices[src]
+        assert (got.time, got.target) == (time, win.vertices[best])
+        assert got.boundary_touched == any(full[c] != restricted[c] for c in candidates)
 
     def test_affine_outside_window_errors(self):
         win = window_of("cubic2", 3)
@@ -385,29 +440,25 @@ class TestPercolationRegion:
     def test_zero_time_continuous_gives_source_only(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.exponential(1), 12)
-        res = passage_times(cfg, (0, (0, 0)))
-        assert percolation_region(res, 0.0) == [(0, (0, 0))]
+        assert percolation_region(cfg, (0, (0, 0)), 0.0) == [(0, (0, 0))]
 
     def test_unit_times_ball(self):
         win = window_of("cubic2", 4)
         cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
-        res = passage_times(cfg, (0, (0, 0)))
-        region = percolation_region(res, 2.0)
+        region = percolation_region(cfg, (0, (0, 0)), 2.0)
         assert len(region) == 13  # L1 ball of radius 2
 
     def test_all_zero_fills_window(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.bernoulli(1.0), 1)
-        res = passage_times(cfg, (0, (0, 0)))
-        assert len(percolation_region(res, 0.0)) == len(win.vertices)
+        assert len(percolation_region(cfg, (0, (0, 0)), 0.0)) == len(win.vertices)
 
     def test_nested_in_t(self):
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.exponential(1), 3)
-        res = passage_times(cfg, (0, (0, 0)))
         prev = set()
         for t in (0.5, 1.0, 2.0, 4.0):
-            cur = set(percolation_region(res, t))
+            cur = set(percolation_region(cfg, (0, (0, 0)), t))
             assert prev <= cur
             prev = cur
 

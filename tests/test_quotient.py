@@ -207,11 +207,6 @@ class TestCoveringFiber:
         with pytest.raises(LatticeError):
             covering_fiber(q, (0, (1, 0)), win)
 
-    def test_outside_quotient_window_rejected(self):
-        qwin = instantiate_window(self.q.sub_lattice, self.q.sub_realization, 1)
-        with pytest.raises(Exception):
-            covering_fiber(self.q, (0, (5,)), self.win, quotient_window=qwin)
-
     def test_fiber_lies_on_preimage_affine(self):
         # all fiber points project to the same image point under P
         fiber = covering_fiber(self.q, (0, (1,)), self.win)
