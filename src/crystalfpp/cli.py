@@ -80,8 +80,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     defaults.  Every value from the file and from flags must meet its schema
     type, minimum, maximum and enum, and a number must be finite.
     """
-    properties = config_schema()["properties"]
-    sources = []
+    merged = _schema_defaults()
     if path:
         try:
             config = json.loads(_read_input(path))
@@ -89,19 +88,27 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(config, dict):
             raise ConfigError(f"config {path}: top level must be an object")
-        sources.append((f"config {path}: ", config))
-    sources.append(("", {k: v for k, v in overrides.items() if v is not None}))
-    merged = {key: spec["default"] for key, spec in properties.items() if "default" in spec}
-    for where, values in sources:
-        unknown = sorted(set(values) - set(properties))
-        if unknown:
-            raise ConfigError(f"{where}unknown keys {', '.join(unknown)}")
-        for key, value in values.items():
-            problem = _schema_problem(value, properties[key])
-            if problem:
-                raise ConfigError(f"{where}{key} {problem}, got {value!r}")
-        merged.update(values)
+        merged.update(_checked(config, f"config {path}: "))
+    merged.update(_checked({k: v for k, v in overrides.items() if v is not None}))
     return merged
+
+
+def _schema_defaults() -> dict:
+    return {key: spec["default"] for key, spec in config_schema()["properties"].items()
+            if "default" in spec}
+
+
+def _checked(values: dict, where: str = "") -> dict:
+    """The values, once every key is a schema property and every value meets its entry."""
+    properties = config_schema()["properties"]
+    unknown = sorted(set(values) - set(properties))
+    if unknown:
+        raise ConfigError(f"{where}unknown keys {', '.join(unknown)}")
+    for key, value in values.items():
+        problem = _schema_problem(value, properties[key])
+        if problem:
+            raise ConfigError(f"{where}{key} {problem}, got {value!r}")
+    return values
 
 
 def _schema_problem(value, spec: dict) -> str | None:
@@ -180,10 +187,12 @@ def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
 def _parse_float_list(spec) -> list[float]:
     if isinstance(spec, str):
         return [float(x) for x in spec.split(",") if x.strip()]
-    try:
-        return [float(x) for x in spec]
-    except (TypeError, OverflowError):
-        raise ConfigError(f"grid must be 'a,b,...' or a list of numbers, got {spec!r}") from None
+    if isinstance(spec, list) and all(_has_json_type(x, "number") for x in spec):
+        try:
+            return [float(x) for x in spec]
+        except OverflowError:
+            pass
+    raise ConfigError(f"grid must be 'a,b,...' or a list of numbers, got {spec!r}")
 
 
 def _parse_directions(config: dict) -> list[tuple[Fraction, ...]]:
@@ -218,6 +227,8 @@ def _resolve_distribution(config: dict) -> TimeDistribution:
     if family not in FAMILIES:
         raise ConfigError(f"unknown distribution family {family!r}")
     params = {k: v for k, v in spec.items() if k != "family"}
+    if not all(_has_json_type(v, "number") for v in params.values()):
+        raise ConfigError(f"distribution parameters must be numbers, got {spec!r}")
     try:
         return getattr(TimeDistribution, family)(**params)
     except (TypeError, OverflowError):
@@ -629,7 +640,12 @@ _RUNNERS = {
 
 
 def run_experiment(config: dict) -> ExperimentResult:
-    """Execute the configured experiment; raises on invalid configuration."""
+    """Execute the configured experiment; raises on invalid configuration.
+
+    The config meets the same schema checks as load_config, and a key it
+    leaves out takes its schema default.
+    """
+    config = {**_schema_defaults(), **_checked(config)}
     name = config.get("experiment")
     runner = _RUNNERS.get(name)
     if runner is None:

@@ -43,6 +43,8 @@ MAX_WINDOW_VERTICES = 400_000
 # distance two realized vertices may have
 PROBE_RADIUS = 2
 DEGENERACY_TOL = 1e-9
+# edge_connectivity_estimate's boundary layers, whose orbits no cut may use
+CONNECTIVITY_MARGIN = 1
 
 
 class CrystalLattice:
@@ -403,7 +405,7 @@ def _realization_of(lattice: CrystalLattice, positions: Mapping[int, Sequence[fl
 
 
 # ---------------------------------------------------------------------------
-# edge connectivity (window max-flow with a Menger certificate)
+# edge connectivity (window max flow with a certificate of interior-disjoint walks)
 
 
 @dataclass(frozen=True)
@@ -411,97 +413,70 @@ class EdgeConnectivity:
     value: int
     source: Vertex
     sink: Vertex
-    paths: tuple[tuple[Vertex, ...], ...]
+    paths: tuple[tuple[Vertex, ...], ...]  # `value` walks, edge-disjoint on interior orbits
     radius: int
 
 
-def _max_flow_unit(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
-    """Edmonds-Karp on an arc list (u, v, capacity); returns (value, flow dict)."""
-    cap: dict[tuple[int, int], int] = {}
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    for u, v, c in arcs:
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-        nbr[u].add(v)
-        nbr[v].add(u)
-    flow = {k: 0 for k in cap}
-    value = 0
-    while True:
-        parent = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in nbr[u]:
-                if v not in parent and cap[(u, v)] - flow[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            return value, flow
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        path.reverse()
-        push = min(cap[(u, v)] - flow[(u, v)] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            flow[(u, v)] += push
-            flow[(v, u)] -= push
-        value += push
-
-
-def _disjoint_paths(n: int, flow: dict, s: int, t: int, k: int) -> list[list[int]]:
-    """Decompose an integral flow of value k into k edge-disjoint s-t paths."""
-    out: dict[int, dict[int, int]] = {}
-    for (u, v), f in flow.items():
-        if f > 0:
-            out.setdefault(u, {})[v] = f
-    paths = []
-    for _ in range(k):
-        path = [s]
-        guard = 0
-        while path[-1] != t:
-            u = path[-1]
-            step = min(v for v, f in out[u].items() if f > 0)
-            out[u][step] -= 1
-            path.append(step)
-            guard += 1
-            if guard > 10 * n * n:
-                raise RuntimeError("flow decomposition failed to terminate")
-        paths.append(path)
-    return paths
-
-
 def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization,
-                               radius: int = 3, margin: int = 1) -> EdgeConnectivity:
+                               radius: int = 3) -> EdgeConnectivity:
     """Window estimate of the edge connectivity of the infinite graph.
 
-    Minimum over interior vertex pairs of unit-capacity max-flow; edges that
-    touch the boundary margin get effectively infinite capacity so boundary
-    cuts never count.  The returned Menger certificate (that many
-    edge-disjoint paths) makes the value a rigorous lower bound.
+    Minimum over interior vertices t of the max flow from the first interior
+    vertex to t (the sink is the first minimizing t).  An orbit with both ends
+    interior has capacity 1; one that touches the boundary margin has a
+    capacity above every such cut, so boundary cuts never count.  The
+    certificate is `value` source-sink walks read off the flow, which share no
+    interior orbit: they are edge-disjoint on the interior edges only.
     """
     if radius < 2:
         raise LatticeError("edge connectivity needs radius >= 2")
     win = instantiate_window(lattice, realization, radius)
-    interior = win.interior_mask(margin)
-    interior_ids = [i for i in range(len(win.vertices)) if interior[i]]
-    if len(interior_ids) < 2:
+    interior = win.interior_mask(CONNECTIVITY_MARGIN)
+    inner = np.flatnonzero(interior).tolist()
+    if len(inner) < 2:
         raise LatticeError("window too small: no interior vertex pair")
-    big = len(win.orbit_ends) + 1
-    ends = win.orbit_ends[win.orbit_ends[:, 0] != win.orbit_ends[:, 1]]
-    arcs = []
-    for (ia, ib), inner in zip(ends.tolist(), interior[ends].all(axis=1).tolist()):
-        c = 1 if inner else big
-        arcs += [(ia, ib, c), (ib, ia, c)]
-    s = interior_ids[0]
-    best = None
-    for t in interior_ids[1:]:
-        value, flow = _max_flow_unit(len(win.vertices), arcs, s, t)
-        if best is None or value < best[0]:
+    adjacency, tails = win.adjacency, win.orbit_ends[:, 0].tolist()
+    cap = np.where(interior[win.orbit_ends].all(axis=1), 1, len(tails) + 1).tolist()
+    s = inner[0]
+    best = (math.inf, None, None)
+    for t in inner[1:]:
+        # Edmonds-Karp with one signed flow per orbit, positive from its tail; a
+        # pair stops at the best value so far, since it can no longer beat it
+        flow, value = [0] * len(tails), 0
+        while value < best[0]:
+            parent = {s: None}
+            queue = deque([s])
+            while queue and t not in parent:
+                u = queue.popleft()
+                for v, o in adjacency[u]:
+                    if v not in parent and cap[o] > (flow[o] if tails[o] == u else -flow[o]):
+                        parent[v] = (u, o)
+                        queue.append(v)
+            if t not in parent:
+                break
+            steps = [parent[t]]
+            while steps[-1][0] != s:
+                steps.append(parent[steps[-1][0]])
+            push = min(cap[o] - (flow[o] if tails[o] == u else -flow[o]) for u, o in steps)
+            for u, o in steps:
+                flow[o] += push if tails[o] == u else -push
+            value += push
+        if value < best[0]:
             best = (value, t, flow)
     value, t, flow = best
-    paths = _disjoint_paths(len(win.vertices), flow, s, t, value)
-    cert = tuple(tuple(win.vertices[i] for i in p) for p in paths)
-    return EdgeConnectivity(value, win.vertices[s], win.vertices[t], cert, radius)
+    # each step uses up one unit of flow leaving the walk's end, and conservation
+    # leaves such a unit at every vertex but the sink
+    paths = []
+    for _ in range(value):
+        walk = [s]
+        while walk[-1] != t:
+            u = walk[-1]
+            v, o = next((v, o) for v, o in adjacency[u]
+                        if (flow[o] if tails[o] == u else -flow[o]) > 0)
+            flow[o] -= 1 if tails[o] == u else -1
+            walk.append(v)
+        paths.append(tuple(win.vertices[i] for i in walk))
+    return EdgeConnectivity(value, win.vertices[s], win.vertices[t], tuple(paths), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "frobnicate"})
 
+    @pytest.mark.parametrize("change", [
+        {"max_coord": 100000}, {"k_max": 2.7}, {"threads": 0},
+        {"slack_std_errors": math.nan}, {"bogus": 1}],
+        ids=["max-coord-huge", "k-max-fraction", "threads-zero", "slack-nan", "unknown-key"])
+    def test_run_experiment_meets_the_schema(self, change):
+        # in a child process with a timeout: an unchecked max_coord 100000 loops
+        # over (2 max_coord + 1)^2 direction candidates for hours
+        config = {"experiment": "shape", "preset": "cubic2", "distribution": "exponential:1",
+                  "k_max": 2, "replicas": 2, "n_dirs": 4, "threads": 1, **change}
+        code = ("import json, sys\nfrom crystalfpp.cli import ConfigError, run_experiment\n"
+                "try:\n    run_experiment(json.loads(sys.argv[1]))\n"
+                "except ConfigError:\n    print('ConfigError')")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)],
+                              capture_output=True, text=True, timeout=5, env=PACKAGE_ENV)
+        assert proc.stdout == "ConfigError\n" and proc.stderr == ""
+
+    def test_run_experiment_fills_in_the_schema_defaults(self):
+        # k_max, base_seed and the rest are left out and take their schema defaults
+        result = run_experiment({"experiment": "mu", "preset": "cubic2", "direction": "1,0",
+                                 "distribution": "exponential:1", "replicas": 2, "threads": 1})
+        assert result.exit_code == 0
+        assert "base_seed=1" in result.summary
+        assert '"k_max": 20' in next(line for line in result.summary
+                                     if line.startswith("config="))
+
 
 class TestExitCodes:
     def test_shape_ok(self, tmp_path):
@@ -236,6 +261,15 @@ class TestExitCodes:
         (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 30},0"], {}),
         (["quotient", "--preset", "cubic3", "--kernel", f"{10 ** 30},1,0"], {}),
         (["quotient", "--preset", "cubic2", "--kernel", f"{10 ** 8},1"], {}),
+        (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": [True]}}),
+        (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": ["0.5"]}}),
+        (["lift-check", "--config", "{tmp}/c.json"],
+         {"c.json": {"kernel": "1,-1", "distribution": "bernoulli:0.5", "target_index": "1",
+                     "t_grid": [0.0, False]}}),
+        (["mu", "--config", "{tmp}/c.json"],
+         {"c.json": {"distribution": {"family": "bernoulli", "p": True}}}),
+        (["mu", "--config", "{tmp}/c.json"],
+         {"c.json": {"distribution": {"family": "exponential", "rate": "1"}}}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -248,7 +282,8 @@ class TestExitCodes:
             "grid-huge-integer", "dist-huge-integer", "direction-huge-exponent",
             "direction-huge-integer", "kernel-zero-column", "kernel-wrong-length",
             "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry",
-            "kernel-singular-quotient-period"])
+            "kernel-singular-quotient-period", "grid-boolean", "grid-string",
+            "t-grid-boolean", "dist-boolean-param", "dist-string-param"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

@@ -38,12 +38,11 @@ def whole_window(cfg, source):
     return _dijkstra(cfg.window, cfg.times.tolist(), cfg.window.vertex_index[source])
 
 
-def random_window_times(data):
-    """A window of a random lattice and random edge times, drawn from data.
+def random_lattice(data):
+    """A random lattice drawn from data.
 
     The base graph has parallel edges and loops, on a zero-voltage path plus
-    one unit-voltage loop per axis (so the lift is connected).  Times are zero
-    half the time (ties, zero-time clusters), else values whose sums round.
+    one unit-voltage loop per axis (so the lift is connected).
     """
     dim = data.draw(st.integers(1, 2))
     n = data.draw(st.integers(1, 3))
@@ -56,10 +55,18 @@ def random_window_times(data):
     voltage = {}
     for i, (_, _, v) in enumerate(edges):
         voltage[2 * i], voltage[2 * i + 1] = v, tuple(-c for c in v)
-    lat, real = build_custom(
+    return build_custom(
         graph_from_edges(n, [(a, b) for a, b, _ in edges]), voltage,
         {u: (u / n,) + (0.0,) * (dim - 1) for u in range(n)}, np.eye(dim).tolist())
-    win = instantiate_window(lat, real, data.draw(st.integers(1, 3)))
+
+
+def random_window_times(data):
+    """A window of a random lattice and random edge times, drawn from data.
+
+    Times are zero half the time (ties, zero-time clusters), else values whose
+    sums round.
+    """
+    win = instantiate_window(*random_lattice(data), data.draw(st.integers(1, 3)))
     times = data.draw(st.lists(
         st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.5, 1e-17])),
         min_size=len(win.orbit_keys), max_size=len(win.orbit_keys)))

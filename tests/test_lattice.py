@@ -1,10 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import maximum_flow
+from test_fpp import random_lattice
 
 from crystalfpp.graph_core import graph_from_edges
 from crystalfpp.lattice import (
+    CONNECTIVITY_MARGIN,
     CrystalLattice,
     LatticeError,
     Realization,
@@ -289,6 +296,45 @@ class TestEdgeConnectivity:
         lat, real = build_preset("cubic2")
         with pytest.raises(LatticeError):
             edge_connectivity_estimate(lat, real, radius=1)
+
+    @pytest.mark.parametrize("case", ("cubic1",) + PRESETS + ("cubic2/(1,-1)", "parallel-pair"))
+    def test_certificate_walks_share_no_interior_orbit(self, case):
+        lat, real = lattice_case(case)
+        result = edge_connectivity_estimate(lat, real, radius=3)
+        win = instantiate_window(lat, real, 3)
+        interior = win.interior_mask(CONNECTIVITY_MARGIN)
+        orbits = Counter(frozenset(e) for e in win.orbit_ends.tolist())
+        inner = Counter(frozenset(e) for e in win.orbit_ends.tolist() if interior[e].all())
+        used = Counter()
+        assert len(result.paths) == result.value
+        for walk in result.paths:
+            assert walk[0] == result.source and walk[-1] == result.sink
+            steps = [frozenset(win.vertex_index[v] for v in pair) for pair in zip(walk, walk[1:])]
+            assert all(orbits[step] for step in steps)
+            used.update(step for step in steps if step in inner)
+        assert all(n <= inner[step] for step, n in used.items())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_value_and_sink_match_scipy_maximum_flow(self, data):
+        # same capacities as the library: 1 on an interior orbit, m + 1 on one that
+        # touches the margin; parallel orbits summed, loops dropped
+        lat, real = random_lattice(data)
+        radius = data.draw(st.integers(2, 3))
+        result = edge_connectivity_estimate(lat, real, radius)
+        win = instantiate_window(lat, real, radius)
+        interior = win.interior_mask(CONNECTIVITY_MARGIN)
+        a, b = win.orbit_ends[win.orbit_ends[:, 0] != win.orbit_ends[:, 1]].T
+        cap = np.where(interior[a] & interior[b], 1, len(win.orbit_ends) + 1)
+        n = len(win.vertices)
+        graph = coo_matrix((np.concatenate((cap, cap)).astype(np.int32),
+                            (np.concatenate((a, b)), np.concatenate((b, a)))), shape=(n, n)).tocsr()
+        graph.sum_duplicates()
+        inner = np.flatnonzero(interior).tolist()
+        flows = [maximum_flow(graph, inner[0], t).flow_value for t in inner[1:]]
+        assert result.source == win.vertices[inner[0]]
+        assert result.value == min(flows)
+        assert result.sink == win.vertices[inner[1 + flows.index(min(flows))]]
 
 
 class TestCheckSymmetry:
