@@ -26,16 +26,12 @@ from .fpp import (
     passage_to_affine,
     percolation_region,
     replica_seed,
-    restricted_passage,
     sample_configuration,
 )
 from .graph_core import (
     FiniteGraph,
     HalfEdge,
-    LiftedPath,
-    PathSeq,
     graph_from_edges,
-    lift_path,
     spanning_tree,
     tree_partition,
 )
@@ -45,7 +41,6 @@ from .lattice import (
     Window,
     build_custom,
     build_preset,
-    check_symmetry,
     closest_vertex,
     edge_connectivity_estimate,
     instantiate_window,
@@ -66,18 +61,17 @@ from .quotient import (
 __all__ = [
     "__version__",
     "CrystalLattice", "Realization", "Window", "FiniteGraph", "HalfEdge",
-    "PathSeq", "LiftedPath", "KernelSublattice", "QuotientData",
+    "KernelSublattice", "QuotientData",
     "TimeDistribution", "Configuration", "MomentConditionError",
     "TimeConstantEstimate", "ShapeEstimate",
-    "graph_from_edges", "spanning_tree", "lift_path", "tree_partition",
+    "graph_from_edges", "spanning_tree", "tree_partition",
     "build_preset", "build_custom", "instantiate_window", "closest_vertex",
-    "edge_connectivity_estimate", "check_symmetry", "lattice_to_text",
-    "lattice_from_text", "lattice_hash",
+    "edge_connectivity_estimate", "lattice_to_text", "lattice_from_text",
+    "lattice_hash",
     "smith_normal_form", "invariant_factors", "build_quotient",
     "covering_fiber", "verify_diagram",
     "moment_check", "replica_seed", "sample_configuration", "passage_times",
     "passage_between_points", "passage_to_affine", "percolation_region",
-    "restricted_passage",
     "estimate_time_constant", "estimate_shape", "norm_property_report",
     "monotonicity_experiment", "lifting_inequality_check", "positivity_scan",
 ]

@@ -185,14 +185,19 @@ def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
 
 
 def _parse_float_list(spec) -> list[float]:
+    """A grid: 'a,b,...' or a list of numbers, and at least one of them."""
+    grid = None
     if isinstance(spec, str):
-        return [float(x) for x in spec.split(",") if x.strip()]
-    if isinstance(spec, list) and all(_has_json_type(x, "number") for x in spec):
+        grid = [float(x) for x in spec.split(",") if x.strip()]
+    elif isinstance(spec, list) and all(_has_json_type(x, "number") for x in spec):
         try:
-            return [float(x) for x in spec]
+            grid = [float(x) for x in spec]
         except OverflowError:
             pass
-    raise ConfigError(f"grid must be 'a,b,...' or a list of numbers, got {spec!r}")
+    if not grid:
+        raise ConfigError(f"grid must be 'a,b,...' or a non-empty list of numbers,"
+                          f" got {spec!r}")
+    return grid
 
 
 def _parse_directions(config: dict) -> list[tuple[Fraction, ...]]:
@@ -246,8 +251,13 @@ def _threads(config: dict) -> int:
 # SVG
 
 
-def render_shape_svg(shape, overlay=None, labels=("shape", "overlay"),
-                     width: int = 480, whisker_z: float = 3.0) -> str:
+# render_shape_svg's side length in pixels, and its whiskers' half-width in
+# standard errors
+SVG_WIDTH = 480
+WHISKER_Z = 3.0
+
+
+def render_shape_svg(shape, overlay=None, labels=("shape", "overlay")) -> str:
     """SVG polygon of a planar shape estimate with per-vertex CI whiskers.
 
     overlay may be a second ShapeEstimate or a raw polygon array; it is drawn
@@ -275,21 +285,22 @@ def render_shape_svg(shape, overlay=None, labels=("shape", "overlay"),
     if points is not None:
         radius = max(radius, float(np.max(np.linalg.norm(points, axis=1))))
         for j in range(len(shape.directions)):
-            radius = max(radius, shape.radial_interval(j, whisker_z)[1])
+            radius = max(radius, shape.radial_interval(j, WHISKER_Z)[1])
     if over_poly is not None and len(over_poly):
         radius = max(radius, float(np.max(np.linalg.norm(over_poly, axis=1))))
     pad = 0.1 * radius
-    scale = (width / 2) / (radius + pad)
-    cx = cy = width / 2
+    scale = (SVG_WIDTH / 2) / (radius + pad)
+    cx = cy = SVG_WIDTH / 2
 
     def xy(p):
         return f"{cx + scale * p[0]:.3f},{cy - scale * p[1]:.3f}"
 
     out = io.StringIO()
     out.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-              f'width="{width}" height="{width}" viewBox="0 0 {width} {width}">\n')
-    out.write(f'<line x1="0" y1="{cy}" x2="{width}" y2="{cy}" stroke="#dddddd"/>\n')
-    out.write(f'<line x1="{cx}" y1="0" x2="{cx}" y2="{width}" stroke="#dddddd"/>\n')
+              f'width="{SVG_WIDTH}" height="{SVG_WIDTH}" '
+              f'viewBox="0 0 {SVG_WIDTH} {SVG_WIDTH}">\n')
+    out.write(f'<line x1="0" y1="{cy}" x2="{SVG_WIDTH}" y2="{cy}" stroke="#dddddd"/>\n')
+    out.write(f'<line x1="{cx}" y1="0" x2="{cx}" y2="{SVG_WIDTH}" stroke="#dddddd"/>\n')
     legend = []
     if isinstance(shape, ShapeEstimate) and shape.unbounded:
         out.write(f'<text x="12" y="24" font-size="13">unbounded-shape regime '
@@ -302,7 +313,7 @@ def render_shape_svg(shape, overlay=None, labels=("shape", "overlay"),
         for j, p in enumerate(points):
             out.write(f'<circle cx="{cx + scale * p[0]:.3f}" '
                       f'cy="{cy - scale * p[1]:.3f}" r="2.2" fill="#1f4e9c"/>\n')
-            lo, hi = shape.radial_interval(j, whisker_z)
+            lo, hi = shape.radial_interval(j, WHISKER_Z)
             u = shape.unit_directions[j]
             a, b = lo * u, min(hi, 10 * radius) * u
             out.write(f'<line x1="{cx + scale * a[0]:.3f}" y1="{cy - scale * a[1]:.3f}" '
@@ -525,7 +536,7 @@ def _run_lift_check(config: dict) -> ExperimentResult:
     if config.get("target_index") is None:
         raise ConfigError("lift-check needs target_index (quotient translation)")
     target = _parse_int_vector(config["target_index"], "target_index")
-    t_grid = _parse_float_list(config.get("t_grid") or [0.0, 1.0, 2.0])
+    t_grid = _parse_float_list(config["t_grid"] if "t_grid" in config else [0.0, 1.0, 2.0])
     report = lifting_inequality_check(
         lat, real, kernel, dist, target, t_grid,
         mode=str(config["mode"]), budget=int(config["budget"]),
@@ -554,8 +565,8 @@ def _run_positivity(config: dict) -> ExperimentResult:
     lat, real = _resolve_lattice(config)
     if config.get("direction") is None:
         raise ConfigError("positivity needs a direction")
-    p_grid = _parse_float_list(config.get("p_grid") or
-                               [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    p_grid = _parse_float_list(config["p_grid"] if "p_grid" in config
+                               else [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     report = positivity_scan(
         lat, real, p_grid, _parse_fraction_vector(config["direction"]),
         int(config["k_max"]), int(config["replicas"]), int(config["base_seed"]),

@@ -505,15 +505,18 @@ class NormPropertyReport:
         return all(c.passed for c in self.checks)
 
 
+# norm_property_report's least slack, the absolute tolerance of deterministic runs
+NORM_SLACK_FLOOR = 1e-9
+
+
 def norm_property_report(estimates: Iterable[TimeConstantEstimate],
-                         tol_in_std_errors: float = 3.0,
-                         abs_floor: float = 1e-9) -> NormPropertyReport:
+                         tol_in_std_errors: float = 3.0) -> NormPropertyReport:
     """Check subadditivity, rational homogeneity, and symmetry on estimates.
 
     Every pair (x, y) with x+y also estimated is checked for subadditivity;
     every collinear pair for homogeneity; antipodal pairs for symmetry.
-    Slack is tol_in_std_errors pooled standard errors, floored at abs_floor
-    so deterministic runs compare at absolute tolerance.
+    Slack is tol_in_std_errors pooled standard errors, floored at
+    NORM_SLACK_FLOOR so deterministic runs compare at absolute tolerance.
     """
     ests = list(estimates)
     if not ests:
@@ -535,7 +538,7 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
             s = tuple(a + b for a, b in zip(x, y))
             if s in by_dir:
                 ex, ey, es_ = by_dir[x], by_dir[y], by_dir[s]
-                slack = max(tol_in_std_errors * pooled(ex, ey, es_), abs_floor)
+                slack = max(tol_in_std_errors * pooled(ex, ey, es_), NORM_SLACK_FLOOR)
                 checks.append(NormCheck(
                     "subadditivity", f"{s} vs {x} + {y}",
                     es_.point_estimate, ex.point_estimate + ey.point_estimate, slack))
@@ -550,7 +553,7 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
             ex, ey = by_dir[x], by_dir[y]
             scale = abs(float(c))
             slack = max(tol_in_std_errors * math.sqrt(
-                ey.std_error ** 2 + (scale * ex.std_error) ** 2), abs_floor)
+                ey.std_error ** 2 + (scale * ex.std_error) ** 2), NORM_SLACK_FLOOR)
             kind = "symmetry" if c == -1 else "homogeneity"
             diff = abs(ey.point_estimate - scale * ex.point_estimate)
             checks.append(NormCheck(kind, f"{y} vs {c} * {x}", diff, 0.0, slack))

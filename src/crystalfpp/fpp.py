@@ -194,20 +194,7 @@ class Configuration:
     """One sampled time per undirected edge orbit of a window."""
 
     window: Window
-    distribution: TimeDistribution
     times: np.ndarray
-    seed_entropy: tuple
-
-    def time_of(self, orbit_key) -> float:
-        return float(self.times[self.window.orbit_index[orbit_key]])
-
-    def to_csv_lines(self) -> list[str]:
-        lines = ["orbit,time"]
-        for key, t in zip(self.window.orbit_keys, self.times):
-            eid, z = key
-            zs = ";".join(str(c) for c in z)
-            lines.append(f"{eid}@{zs},{float(t)!r}")
-        return lines
 
 
 # the sampling rule of sample_configuration, recorded in every run's provenance
@@ -231,8 +218,7 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
     rng = np.random.Generator(np.random.Philox(seq))
     times = np.empty(len(window.orbit_ends))
     times[window.sample_order] = distribution.sample(rng, len(times))
-    entropy = (seq.entropy, tuple(seq.spawn_key))
-    return Configuration(window, distribution, times, entropy)
+    return Configuration(window, times)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +382,3 @@ def percolation_region(config: Configuration, source: Vertex, t: float) -> list:
     window = config.window
     dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source])
     return [v for v, d in zip(window.vertices, dist) if d <= t]
-
-
-def restricted_passage(config: Configuration, x: Sequence[float], y: Sequence[float],
-                       sub_radius: int) -> float:
-    """Shortest-path time using only edges inside the [-R', R']^d sub-window.
-
-    Returns math.inf when y is unreachable there; monotone nonincreasing as
-    the sub-window grows.
-    """
-    window = config.window
-    if sub_radius > window.radius:
-        raise ValueError("sub-window radius exceeds the window radius")
-    a = closest_vertex(x, window)
-    b = closest_vertex(y, window)
-    lo, hi = sorted((a, b), key=lambda v: (v[1], v[0]))
-    allowed = window.interior_mask(window.radius - sub_radius).tolist()
-    if not allowed[window.vertex_index[lo]] or not allowed[window.vertex_index[hi]]:
-        raise ValueError("endpoints must lie inside the sub-window")
-    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[lo], allowed=allowed)
-    return float(dist[window.vertex_index[hi]])

@@ -1,4 +1,4 @@
-"""Finite symmetric directed graphs with inversion pairing, and lifting machinery.
+"""Finite symmetric directed graphs with inversion pairing, and spanning-tree lifts.
 
 A graph is stored as a set of half-edges: every undirected edge appears as a
 pair (e, inverse(e)) of directed half-edges.  Undirected views are derived as
@@ -8,7 +8,7 @@ every build is reproducible byte-for-byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -18,14 +18,6 @@ class GraphError(ValueError):
 
 class DisconnectedGraphError(GraphError):
     """Operation requires a connected graph."""
-
-
-class OutOfWindowError(RuntimeError):
-    """A lift left the instantiated window; the caller should enlarge it."""
-
-    def __init__(self, vertex, message=None):
-        self.vertex = vertex
-        super().__init__(message or f"lift reached vertex {vertex} outside the window")
 
 
 @dataclass(frozen=True)
@@ -132,43 +124,6 @@ def graph_from_edges(n_vertices: int, edges: Sequence[tuple[int, int]]) -> Finit
     return FiniteGraph(range(n_vertices), half_edges)
 
 
-@dataclass(frozen=True)
-class PathSeq:
-    """A path in a finite graph, as an ordered tuple of half-edge ids."""
-
-    edges: tuple[int, ...]
-
-    @staticmethod
-    def of(graph: FiniteGraph, edges: Iterable[int]) -> "PathSeq":
-        ids = tuple(edges)
-        for a, b in zip(ids, ids[1:]):
-            if graph.half_edges[a].terminus != graph.half_edges[b].origin:
-                raise GraphError(f"half-edges {a} and {b} are not consecutive")
-        return PathSeq(ids)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class LiftedPath:
-    """A path in a lattice window: per-step (base half-edge id, origin index)."""
-
-    steps: tuple[tuple[int, tuple[int, ...]], ...]
-    vertices: tuple[tuple[int, tuple[int, ...]], ...]  # len(steps) + 1
-
-    def base_edges(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.steps)
-
-    @property
-    def start(self):
-        return self.vertices[0]
-
-    @property
-    def end(self):
-        return self.vertices[-1]
-
-
 def spanning_tree(graph: FiniteGraph) -> tuple[int, ...]:
     """Deterministic breadth-first spanning tree, as canonical edge-orbit ids.
 
@@ -218,38 +173,6 @@ def tree_potentials(graph: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
                 pot[w] = tuple(a + b for a, b in zip(pot[v], voltage[eid]))
                 queue.append(w)
     return pot
-
-
-def lift_path(window, base_path: PathSeq, start_vertex: tuple[int, tuple[int, ...]]) -> LiftedPath:
-    """Lift a base-graph path into a lattice window, starting at start_vertex.
-
-    The lift is unique: each step moves to (terminus, index + voltage).
-    Raises OutOfWindowError if any intermediate vertex leaves the window.
-    """
-    lattice = window.lattice
-    graph = lattice.base
-    u, z = start_vertex
-    if not window.contains(u, z):
-        raise OutOfWindowError((u, z), "start vertex is outside the window")
-    if base_path.edges:
-        first = graph.half_edges[base_path.edges[0]]
-        if first.origin != u:
-            raise GraphError(
-                f"start vertex projects to {u}, not the origin {first.origin} of the first edge"
-            )
-    steps = []
-    vertices = [(u, z)]
-    for eid in base_path.edges:
-        e = graph.half_edges[eid]
-        if e.origin != u:
-            raise GraphError(f"half-edge {eid} does not continue the path at {u}")
-        z_next = tuple(a + b for a, b in zip(z, lattice.voltage[eid]))
-        if not window.contains(e.terminus, z_next):
-            raise OutOfWindowError((e.terminus, z_next))
-        steps.append((eid, z))
-        u, z = e.terminus, z_next
-        vertices.append((u, z))
-    return LiftedPath(tuple(steps), tuple(vertices))
 
 
 def tree_partition(window, base_tree: Sequence[int]) -> dict[tuple[int, ...], frozenset]:

@@ -13,13 +13,12 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph_core import (
     FiniteGraph,
-    GraphError,
     graph_from_edges,
     graph_from_lines,
     graph_to_lines,
@@ -233,11 +232,6 @@ class Window:
         """(canonical half-edge id, origin index) of each orbit, in table order."""
         return tuple(zip(self.orbit_eids.tolist(),
                          (self.vertices[a][1] for a in self.orbit_ends[:, 0].tolist())))
-
-    @functools.cached_property
-    def orbit_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """Orbit key -> position in the edge table."""
-        return {key: i for i, key in enumerate(self.orbit_keys)}
 
     @functools.cached_property
     def sample_order(self) -> np.ndarray:
@@ -477,60 +471,6 @@ def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization
             walk.append(v)
         paths.append(tuple(win.vertices[i] for i in walk))
     return EdgeConnectivity(value, win.vertices[s], win.vertices[t], tuple(paths), radius)
-
-
-# ---------------------------------------------------------------------------
-# symmetry probing
-
-
-def check_symmetry(lattice: CrystalLattice, realization: Realization,
-                   candidate: tuple[Sequence[float], Sequence[Sequence[float]]],
-                   radius: int = 3, tol: float = 1e-8, margin: int = 1) -> bool:
-    """Does x -> A x + b map the realized lattice into itself?
-
-    Interior window vertices are mapped and matched back to abstract vertices
-    by inverting the realization; adjacency must be preserved exactly (same
-    base edge data up to translation).  A must be orthogonal within tol.
-    """
-    b, A = candidate
-    b = np.asarray(b, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if not np.allclose(A.T @ A, np.eye(lattice.dim), atol=max(tol, 1e-9)):
-        return False
-    win = instantiate_window(lattice, realization, radius)
-    interior = win.interior_mask(margin)
-    rho_inv = np.linalg.inv(realization.period_matrix())
-    pos = {u: np.array(p) for u, p in realization.positions.items()}
-
-    def identify(point: np.ndarray) -> Vertex | None:
-        for u in lattice.base.vertices:
-            y = rho_inv @ (point - pos[u])
-            z = np.rint(y)
-            if np.max(np.abs(y - z)) <= tol:
-                return (u, tuple(int(c) for c in z))
-        return None
-
-    image: dict[int, Vertex] = {}
-    for i, v in enumerate(win.vertices):
-        if not interior[i]:
-            continue
-        target = identify(A @ win.coords[i] + b)
-        if target is None:
-            return False
-        image[i] = target
-
-    base = lattice.base
-    by_pair: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for eid, e in base.half_edges.items():
-        by_pair.setdefault((e.origin, e.terminus), set()).add(lattice.voltage[eid])
-    for ia, ib in win.orbit_ends.tolist():
-        if ia not in image or ib not in image:
-            continue
-        (ua, za), (ub, zb) = image[ia], image[ib]
-        dz = tuple(p - q for p, q in zip(zb, za))
-        if dz not in by_pair.get((ua, ub), set()):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

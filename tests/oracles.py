@@ -74,28 +74,6 @@ def bfs_hops(window, source_idx):
     return dist
 
 
-def enumerate_lifts(window, base_path, start):
-    """All edge-by-edge lifts of a base path from start; unique if covering."""
-    lattice = window.lattice
-    graph = lattice.base
-    partial = [[start]]
-    steps: list[list] = [[]]
-    for eid in base_path.edges:
-        new_partial, new_steps = [], []
-        for verts, st in zip(partial, steps):
-            u, z = verts[-1]
-            for cand in graph.out_edges(u):
-                if cand != eid:
-                    continue
-                e = graph.half_edges[cand]
-                z2 = tuple(a + b for a, b in zip(z, lattice.voltage[cand]))
-                if window.contains(e.terminus, z2):
-                    new_partial.append(verts + [(e.terminus, z2)])
-                    new_steps.append(st + [(cand, z)])
-        partial, steps = new_partial, new_steps
-    return [tuple(st) for st in steps]
-
-
 def exact_determinant(m) -> int:
     """Exact integer determinant via fraction-free expansion."""
     n = len(m)

@@ -270,6 +270,15 @@ class TestExitCodes:
          {"c.json": {"distribution": {"family": "bernoulli", "p": True}}}),
         (["mu", "--config", "{tmp}/c.json"],
          {"c.json": {"distribution": {"family": "exponential", "rate": "1"}}}),
+        (["positivity", "--preset", "cubic2", "--direction", "1,0", "--p-grid", ","], {}),
+        (["lift-check", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "bernoulli:0.5",
+          "--target-index", "1", "--mode", "exhaustive", "--t-grid", ","], {}),
+        (["positivity", "--config", "{tmp}/c.json"], {"c.json": {"p_grid": []}}),
+        (["lift-check", "--config", "{tmp}/c.json"],
+         {"c.json": {"kernel": "1,-1", "distribution": "bernoulli:0.5", "target_index": "1",
+                     "t_grid": []}}),
+        (["quotient", "--config", "{tmp}/c.json"], {"c.json": {"kernel": "1,-1",
+                                                              "tolerance": -1}}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -283,7 +292,8 @@ class TestExitCodes:
             "direction-huge-integer", "kernel-zero-column", "kernel-wrong-length",
             "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry",
             "kernel-singular-quotient-period", "grid-boolean", "grid-string",
-            "t-grid-boolean", "dist-boolean-param", "dist-string-param"])
+            "t-grid-boolean", "dist-boolean-param", "dist-string-param", "p-grid-empty",
+            "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):
@@ -315,11 +325,12 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fail_verdict_exits_two(self):
-        # diagram verification with an impossible tolerance forces the
-        # fail-verdict path deterministically
+        # a p grid that runs from the all-zero law (mu = 0) to the all-one law
+        # (mu = 1, no spread) forces the fail-verdict path deterministically
         result = run_experiment({
-            "experiment": "quotient", "preset": "cubic2", "kernel": "1,-1",
-            "tolerance": -1.0, "radius": 3, "base_seed": 1, "out_dir": "unused",
+            "experiment": "positivity", "preset": "cubic2", "direction": "1,0",
+            "p_grid": [1.0, 0.0], "k_max": 2, "replicas": 2, "threads": 1,
+            "base_seed": 1, "out_dir": "unused",
         })
         assert result.exit_code == 2
         assert any("verdict=fail" in line for line in result.summary)

@@ -532,6 +532,22 @@ class TestPositivity:
         assert 0.9 in report.zero_ps
         assert 0.1 not in report.zero_ps
 
+    @pytest.mark.parametrize("preset, p_c", [
+        ("cubic2", 0.5),
+        ("triangular", 2 * math.sin(math.pi / 18)),
+        ("honeycomb", 1 - 2 * math.sin(math.pi / 18)),
+    ])
+    def test_zero_flag_brackets_the_bond_threshold(self, preset, p_c):
+        # Kesten: mu = 0 exactly when P(t = 0) >= p_c, the bond percolation
+        # threshold (exact values from Sykes and Essam).  The finite-k scan
+        # brackets p_c; it does not locate it.
+        lat, real = build_preset(preset)
+        report = positivity_scan(lat, real, [p_c - 0.1, p_c + 0.15], (1, 0), 25, 32,
+                                 20240821)
+        below, above = report.rows
+        assert not below.zero_flag, below
+        assert above.zero_flag, above
+
 
 # Each estimator on cubic2 with exponential(1) times, run by TestWindowEnlargement
 # with no slack layers and no fiber halo, so the first window is too small for
@@ -680,8 +696,7 @@ class TestWindowEnlargement:
         monkeypatch.setattr(estimate_module, "instantiate_window", recording)
         _shape_run()
         assert [w.radius for w in built] == [4, 6]
-        assert not any("orbit_keys" in w.__dict__ or "orbit_index" in w.__dict__
-                       for w in built)
+        assert not any("orbit_keys" in w.__dict__ for w in built)
 
 
 class TestReplicaMap:

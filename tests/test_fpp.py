@@ -21,7 +21,6 @@ from crystalfpp.fpp import (
     passage_to_affine,
     percolation_region,
     replica_seed,
-    restricted_passage,
     sample_configuration,
 )
 from crystalfpp.graph_core import graph_from_edges
@@ -138,8 +137,9 @@ class TestSampling:
                                      replica_seed(seed, replica))
         large = sample_configuration(window_of(preset, radius + grow), dist,
                                      replica_seed(seed, replica))
-        assert all(small.time_of(key) == large.time_of(key)
-                   for key in small.window.orbit_keys)
+        large_times = dict(zip(large.window.orbit_keys, large.times))
+        assert all(large_times[key] == t
+                   for key, t in zip(small.window.orbit_keys, small.times))
         m = len(small.times)
         assert (large.times[large.window.sample_order][:m]
                 == small.times[small.window.sample_order]).all()
@@ -166,18 +166,14 @@ class TestSampling:
     def test_lazy_orbit_keys_keep_their_values(self, preset):
         lat, real = build_preset(preset)
         win = instantiate_window(lat, real, 2)
-        cfg = sample_configuration(win, TimeDistribution.exponential(1), 3)
+        sample_configuration(win, TimeDistribution.exponential(1), 3)
         assert "orbit_keys" not in win.__dict__
         # the keys as the window once listed them: canonical half-edges in
         # order, each with its origins in index order
         keys = [(eid, z) for eid, e in lat.base.half_edges.items() if eid < e.inverse
                 for z in win.indices
                 if win.contains(e.terminus, tuple(a + b for a, b in zip(z, lat.voltage[eid])))]
-        lines = cfg.to_csv_lines()
         assert win.orbit_keys == tuple(keys)
-        for j, (eid, z) in enumerate(keys):
-            assert cfg.time_of((eid, z)) == float(cfg.times[j])
-            assert lines[1 + j] == f"{eid}@{';'.join(map(str, z))},{float(cfg.times[j])!r}"
 
     def test_replica_streams_distinct_and_reproducible(self):
         win = window_of("cubic2", 2)
@@ -189,15 +185,6 @@ class TestSampling:
         assert (a.times == a2.times).all()
         assert not (a.times == b.times).all()
         assert not (a.times == role.times).all()
-
-    def test_csv_dump_round_trip_values(self):
-        win = window_of("cubic2", 1)
-        cfg = sample_configuration(win, TimeDistribution.exponential(1), 3)
-        lines = cfg.to_csv_lines()
-        assert lines[0] == "orbit,time"
-        assert len(lines) == 1 + len(win.orbit_keys)
-        vals = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
-        assert vals == [float(t) for t in cfg.times]
 
 
 class TestPassageTimes:
@@ -261,7 +248,7 @@ class TestPassageTimes:
                     times[j] = math.inf
             groups.append([cut])
         watched = data.draw(st.lists(st.integers(0, len(groups) - 1), unique=True))
-        cfg = Configuration(win, TimeDistribution.deterministic(1), np.array(times), ())
+        cfg = Configuration(win, np.array(times))
 
         got, flagged = passage_times(cfg, win.vertices[src], margin, targets=groups,
                                      watched=watched)
@@ -468,41 +455,3 @@ class TestPercolationRegion:
             cur = set(percolation_region(cfg, (0, (0, 0)), t))
             assert prev <= cur
             prev = cur
-
-
-class TestRestrictedPassage:
-    def test_full_radius_matches_point_passage(self):
-        win = window_of("cubic2", 3)
-        cfg = sample_configuration(win, TimeDistribution.exponential(1), 9)
-        direct = passage_between_points(cfg, (0.0, 0.0), (1.0, 1.0)).time
-        assert restricted_passage(cfg, (0.0, 0.0), (1.0, 1.0), 3) == direct
-
-    def test_radius_zero_endpoint_outside_rejected(self):
-        # cubic(2) has one vertex per cell, so distinct snapped endpoints
-        # cannot both sit inside the radius-0 sub-window
-        win = window_of("cubic2", 2)
-        cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
-        with pytest.raises(ValueError):
-            restricted_passage(cfg, (0.0, 0.0), (1.0, 0.0), 0)
-
-    def test_unreachable_gives_infinity(self):
-        # two base vertices joined only by edges that leave the cell: the
-        # radius-0 sub-window has both endpoints but no edges at all
-        from crystalfpp.graph_core import graph_from_edges
-        from crystalfpp.lattice import build_custom
-
-        base = graph_from_edges(2, [(0, 1), (0, 1)])
-        voltage = {0: (1,), 1: (-1,), 2: (2,), 3: (-2,)}
-        lat, real = build_custom(base, voltage, {0: (0.0,), 1: (0.4,)}, ((1.0,),))
-        win = instantiate_window(lat, real, 2)
-        cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
-        assert restricted_passage(cfg, (0.0,), (0.4,), 0) == math.inf
-        assert restricted_passage(cfg, (0.0,), (0.4,), 2) < math.inf
-
-    def test_monotone_in_radius(self):
-        win = window_of("cubic2", 4)
-        for seed in range(5):
-            cfg = sample_configuration(win, TimeDistribution.exponential(1), seed)
-            vals = [restricted_passage(cfg, (0.0, 0.0), (1.0, 1.0), r)
-                    for r in (1, 2, 3, 4)]
-            assert all(a >= b for a, b in zip(vals, vals[1:]))

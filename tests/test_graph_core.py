@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from crystalfpp.graph_core import (
@@ -7,12 +5,9 @@ from crystalfpp.graph_core import (
     GraphError,
     DisconnectedGraphError,
     HalfEdge,
-    OutOfWindowError,
-    PathSeq,
     graph_from_edges,
     graph_from_lines,
     graph_to_lines,
-    lift_path,
     spanning_tree,
     tree_partition,
 )
@@ -79,68 +74,6 @@ class TestSpanningTree:
     def test_deterministic(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
         assert spanning_tree(g) == spanning_tree(g)
-
-
-class TestLiftPath:
-    def test_empty_path_identity(self):
-        lat, real = build_preset("cubic2")
-        win = instantiate_window(lat, real, 1)
-        lifted = lift_path(win, PathSeq(()), (0, (0, 0)))
-        assert lifted.vertices == ((0, (0, 0)),)
-        assert lifted.steps == ()
-
-    def test_loop_twice_adds_voltage(self):
-        lat, real = build_preset("cubic2")
-        win = instantiate_window(lat, real, 2)
-        path = PathSeq.of(lat.base, (0, 0))  # first loop, traversed twice
-        lifted = lift_path(win, path, (0, (0, 0)))
-        assert lifted.end == (0, (2, 0))
-
-    def test_out_of_window_error(self):
-        lat, real = build_preset("cubic2")
-        win = instantiate_window(lat, real, 1)
-        path = PathSeq.of(lat.base, (0, 0))
-        with pytest.raises(OutOfWindowError):
-            lift_path(win, path, (0, (1, 0)))
-
-    def test_wrong_start_vertex(self):
-        lat, real = build_preset("honeycomb")
-        win = instantiate_window(lat, real, 1)
-        path = PathSeq.of(lat.base, (0,))  # starts at base vertex 0
-        with pytest.raises(GraphError):
-            lift_path(win, path, (1, (0, 0)))
-
-    def test_honeycomb_lift_matches_enumeration(self):
-        from oracles import enumerate_lifts
-
-        lat, real = build_preset("honeycomb")
-        win = instantiate_window(lat, real, 2)
-        # edge 0 forward (0 -> 1), then inverse of edge orbit 1 (1 -> 0)
-        path = PathSeq.of(lat.base, (0, 3))
-        start = (0, (0, 0))
-        lifted = lift_path(win, path, start)
-        lifts = enumerate_lifts(win, path, start)
-        assert len(lifts) == 1  # uniqueness
-        assert lifts[0] == lifted.steps
-
-    def test_round_trip_on_random_paths(self):
-        rng = random.Random(20240915)
-        for preset in ("cubic2", "honeycomb", "triangular"):
-            lat, real = build_preset(preset)
-            win = instantiate_window(lat, real, 6)
-            for _ in range(334):
-                u = rng.choice(lat.base.vertices)
-                edges = []
-                for _ in range(rng.randrange(0, 6)):
-                    options = lat.base.out_edges(u)
-                    eid = rng.choice(options)
-                    edges.append(eid)
-                    u = lat.base.half_edges[eid].terminus
-                path = PathSeq.of(lat.base, edges)
-                start_vertex = (lat.base.half_edges[edges[0]].origin if edges
-                                else rng.choice(lat.base.vertices), (0, 0))
-                lifted = lift_path(win, path, start_vertex)
-                assert lifted.base_edges() == path.edges
 
 
 class TestTreePartition:

@@ -18,7 +18,6 @@ from crystalfpp.lattice import (
     WindowLimitError,
     build_custom,
     build_preset,
-    check_symmetry,
     closest_vertex,
     edge_connectivity_estimate,
     instantiate_window,
@@ -191,7 +190,6 @@ class TestWindow:
         for i, key in enumerate(win.orbit_keys):
             a, b = (win.vertex_index[v] for v in win.orbit_endpoints(key))
             assert win.orbit_ends[i].tolist() == [a, b]
-            assert win.orbit_index[key] == i
             adj[a].append((b, i))
             if b != a:
                 adj[b].append((a, i))
@@ -335,37 +333,6 @@ class TestEdgeConnectivity:
         assert result.source == win.vertices[inner[0]]
         assert result.value == min(flows)
         assert result.sink == win.vertices[inner[1 + flows.index(min(flows))]]
-
-
-class TestCheckSymmetry:
-    def test_identity(self):
-        lat, real = build_preset("cubic2")
-        eye = np.eye(2)
-        assert check_symmetry(lat, real, ((0.0, 0.0), eye), radius=3)
-
-    def test_honeycomb_rotation_120(self):
-        lat, real = build_preset("honeycomb")
-        c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
-        rot = ((c, -s), (s, c))
-        assert check_symmetry(lat, real, ((0.0, 0.0), rot), radius=3)
-
-    def test_cubic_rotation_45_fails(self):
-        lat, real = build_preset("cubic2")
-        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-        rot = ((c, -s), (s, c))
-        # independent check: the image of (1,0) is not an integer point
-        img = np.array(rot) @ np.array([1.0, 0.0])
-        assert np.max(np.abs(img - np.rint(img))) > 1e-3
-        assert not check_symmetry(lat, real, ((0.0, 0.0), rot), radius=3)
-
-    def test_cubic_quarter_turn(self):
-        lat, real = build_preset("cubic2")
-        rot = ((0.0, -1.0), (1.0, 0.0))
-        assert check_symmetry(lat, real, ((0.0, 0.0), rot), radius=3)
-
-    def test_non_orthogonal_rejected(self):
-        lat, real = build_preset("cubic2")
-        assert not check_symmetry(lat, real, ((0.0, 0.0), ((2.0, 0.0), (0.0, 1.0))))
 
 
 class TestSerialization:
