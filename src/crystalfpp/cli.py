@@ -257,29 +257,19 @@ SVG_WIDTH = 480
 WHISKER_Z = 3.0
 
 
-def render_shape_svg(shape, overlay=None, labels=("shape", "overlay")) -> str:
+def render_shape_svg(shape: ShapeEstimate, overlay=None, labels=("shape", "overlay")) -> str:
     """SVG polygon of a planar shape estimate with per-vertex CI whiskers.
 
-    overlay may be a second ShapeEstimate or a raw polygon array; it is drawn
-    dashed with a legend entry.  Pure function of its inputs.
+    overlay is a polygon, an array of vertices (a bounded ShapeEstimate's
+    hull, say); it is drawn dashed with a legend entry.  Pure function of
+    its inputs.
     """
-    if isinstance(shape, ShapeEstimate):
-        if shape.dim != 2:
-            raise ValueError("SVG rendering needs a 2-dimensional shape")
-        if len(shape.directions) == 0:
-            raise ValueError("shape estimate has no directions")
-    points = None
-    if isinstance(shape, ShapeEstimate) and not shape.unbounded:
-        points = shape.points
-
-    over_poly = None
-    if overlay is not None:
-        if isinstance(overlay, ShapeEstimate):
-            if overlay.dim != 2 or overlay.unbounded:
-                raise ValueError("overlay must be a bounded planar shape")
-            over_poly = overlay.hull
-        else:
-            over_poly = np.asarray(overlay, dtype=float)
+    if shape.dim != 2:
+        raise ValueError("SVG rendering needs a 2-dimensional shape")
+    if len(shape.directions) == 0:
+        raise ValueError("shape estimate has no directions")
+    points = None if shape.unbounded else shape.points
+    over_poly = None if overlay is None else np.asarray(overlay, dtype=float)
 
     radius = 1.0
     if points is not None:
@@ -302,7 +292,7 @@ def render_shape_svg(shape, overlay=None, labels=("shape", "overlay")) -> str:
     out.write(f'<line x1="0" y1="{cy}" x2="{SVG_WIDTH}" y2="{cy}" stroke="#dddddd"/>\n')
     out.write(f'<line x1="{cx}" y1="0" x2="{cx}" y2="{SVG_WIDTH}" stroke="#dddddd"/>\n')
     legend = []
-    if isinstance(shape, ShapeEstimate) and shape.unbounded:
+    if shape.unbounded:
         out.write(f'<text x="12" y="24" font-size="13">unbounded-shape regime '
                   f'(all estimates below {shape.zero_threshold})</text>\n')
     if points is not None and shape.hull is not None and len(shape.hull) >= 2:
@@ -609,8 +599,7 @@ def _run_render(config: dict) -> ExperimentResult:
     samples = np.array([by_dir[j]["values"] for j in sorted(by_dir)]).T
     shape = ShapeEstimate.from_samples(
         real, dirs, samples, float(config["zero_threshold"]), k_max=0, replicas=0,
-        radius_used=0, base_seed=int(config["base_seed"]), distribution_label="from-csv",
-        lattice_id=lattice_hash(lat, real))
+        radius_used=0)
     svg = render_shape_svg(shape)
     summary = _provenance(config, lat, real) + [f"n_directions={len(dirs)}"]
     return ExperimentResult(0, summary, None, [], {"shape.svg": svg})

@@ -348,7 +348,7 @@ class ShapeEstimate:
     """Radial estimates of the unit ball of the time constant.
 
     For two-dimensional lattices the convex hull of direction/mu is reported;
-    higher dimensions get the radial table only.  When every unit-direction
+    higher dimensions get the points direction/mu only.  When every unit-direction
     estimate falls below zero_threshold the shape is reported as unbounded
     (the zero-time regime) instead of a polygon.
     """
@@ -358,8 +358,6 @@ class ShapeEstimate:
     unit_directions: np.ndarray
     mu: np.ndarray
     std_errors: np.ndarray
-    mu_unit: np.ndarray
-    radial: np.ndarray
     points: np.ndarray
     hull: np.ndarray | None
     unbounded: bool
@@ -367,9 +365,6 @@ class ShapeEstimate:
     k_max: int
     replicas: int
     radius_used: int
-    base_seed: int
-    distribution_label: str
-    lattice_id: str
     samples: np.ndarray | None = None  # replicas x n_dirs normalized values
     replica_radii: tuple[int, ...] = ()  # window radius of each replica's values
 
@@ -378,8 +373,8 @@ class ShapeEstimate:
                      samples: np.ndarray, zero_threshold: float, **meta) -> "ShapeEstimate":
         """Assemble the shape from a replicas x directions matrix of normalized times.
 
-        meta carries the bookkeeping fields (k_max, replicas, radius_used,
-        base_seed, distribution_label, lattice_id, and optionally replica_radii).
+        meta carries the bookkeeping fields (k_max, replicas, radius_used, and
+        optionally replica_radii).
         """
         rho = realization.period_matrix()
         d = len(rho)
@@ -390,22 +385,17 @@ class ShapeEstimate:
             mu[j], se[j] = _mean_se(samples[:, j].tolist())
         lattice_points = np.array([rho @ np.array(z, dtype=float) for z in directions])
         lens = np.linalg.norm(lattice_points, axis=1)
-        mu_unit = mu / lens
-        unbounded = bool(np.all(mu_unit < zero_threshold))
+        unbounded = bool(np.all(mu / lens < zero_threshold))
         if unbounded:
-            radial = np.full(n, math.inf)
             points = np.full((n, d), math.inf)
             hull = None
         else:
-            safe_mu = np.maximum(mu, 1e-300)
-            radial = lens / safe_mu
-            points = lattice_points / safe_mu[:, None]
+            points = lattice_points / np.maximum(mu, 1e-300)[:, None]
             hull = convex_hull_2d(points) if d == 2 else None
         return cls(dim=d, directions=tuple(directions),
                    unit_directions=lattice_points / lens[:, None], mu=mu, std_errors=se,
-                   mu_unit=mu_unit, radial=radial, points=points, hull=hull,
-                   unbounded=unbounded, zero_threshold=zero_threshold, samples=samples,
-                   **meta)
+                   points=points, hull=hull, unbounded=unbounded,
+                   zero_threshold=zero_threshold, samples=samples, **meta)
 
     def radial_interval(self, j: int, z: float = 3.0) -> tuple[float, float]:
         """CI for the radial extent along direction j, from mu +- z std errors."""
@@ -475,8 +465,7 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
     samples = np.array(results) / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
-        radius_used=radius, replica_radii=tuple(radii), base_seed=base_seed,
-        distribution_label=distribution.label(), lattice_id=lattice_hash(lattice, realization))
+        radius_used=radius, replica_radii=tuple(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -761,21 +750,20 @@ def _relevant_orbits(window: Window, src: int, targets: Sequence[int]) -> list[i
     return [e for e in range(len(ends)) if block[e] in chain]
 
 
-def _enumerate_tail(window: Window, source, targets: Sequence[int], p: Fraction,
-                    low: int, high: int, thresholds: Sequence) -> list[Fraction]:
+def _enumerate_tail(window: Window, src: int, targets: Sequence[int], relevant: Sequence[int],
+                    p: Fraction, low: int, high: int, thresholds: Sequence) -> list[Fraction]:
     """Exact P(min over targets of T >= t) for each threshold t, two-point times.
 
     Each orbit takes the integer weight low with probability p and high
-    otherwise.  Only the r orbits of _relevant_orbits can change the least
-    target time, so every other orbit stays at high and sums out to 1.  The
-    2^r assignments of the relevant orbits are visited in Gray-code order, one
-    weight flipped in place per step; each gets one search, which stops at the
-    first settled target, and the assignments are counted by (least target
-    time, number c of high relevant orbits) with probability p^(r-c)(1-p)^c.
+    otherwise.  Only the r relevant orbits, those _relevant_orbits gives for
+    src and the targets, can change the least target time, so every other
+    orbit stays at high and sums out to 1.  The 2^r assignments of the
+    relevant orbits are visited in Gray-code order, one weight flipped in
+    place per step; each gets one search, which stops at the first settled
+    target, and the assignments are counted by (least target time, number c
+    of high relevant orbits) with probability p^(r-c)(1-p)^c.
     Each threshold's probability is then summed once from those counts.
     """
-    src = window.vertex_index[source]
-    relevant = _relevant_orbits(window, src, targets)
     r = len(relevant)
     weights = [high] * len(window.orbit_ends)
     for j in relevant:
@@ -833,8 +821,10 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     if mode == "exhaustive":
         if distribution.family != "bernoulli":
             raise EstimatorError("exhaustive mode needs an atomic (bernoulli) distribution")
-        r1 = len(_relevant_orbits(window1, window1.vertex_index[source1], [target1_idx]))
-        rx = len(_relevant_orbits(window_x, window_x.vertex_index[source_x], fiber_idx))
+        src1, src_x = window1.vertex_index[source1], window_x.vertex_index[source_x]
+        rel1 = _relevant_orbits(window1, src1, [target1_idx])
+        rel_x = _relevant_orbits(window_x, src_x, fiber_idx)
+        r1, rx = len(rel1), len(rel_x)
         count = (1 << r1) + (1 << rx)
         if count > budget:
             raise BudgetError(
@@ -845,8 +835,8 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         scale = math.lcm(low.denominator, high.denominator)
         low, high = int(low * scale), int(high * scale)
         scaled = [t * scale for t in thresholds]
-        lhs = _enumerate_tail(window1, source1, [target1_idx], p, low, high, scaled)
-        rhs = _enumerate_tail(window_x, source_x, fiber_idx, p, low, high, scaled)
+        lhs = _enumerate_tail(window1, src1, [target1_idx], rel1, p, low, high, scaled)
+        rhs = _enumerate_tail(window_x, src_x, fiber_idx, rel_x, p, low, high, scaled)
         rows = tuple(LiftRow(float(t), float(l), float(r), 0.0, 0.0, l, r, 0.0)
                      for t, l, r in zip(thresholds, lhs, rhs))
         return LiftReport("exhaustive", rows, len(fiber_idx), r_quotient, r_cover,

@@ -87,20 +87,6 @@ class FiniteGraph:
         """Canonical ids of the undirected edge orbits, ascending."""
         return tuple(sorted({self.orbit_of(e) for e in self.half_edges}))
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for eid in self._out[v]:
-                w = self.half_edges[eid].terminus
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteGraph)

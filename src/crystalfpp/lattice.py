@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graph_core import (
+    DisconnectedGraphError,
     FiniteGraph,
     graph_from_edges,
     graph_from_lines,
@@ -69,15 +70,17 @@ class CrystalLattice:
         for eid, e in self.base.half_edges.items():
             if tuple(-c for c in self.voltage[eid]) != self.voltage[e.inverse]:
                 raise LatticeError(f"voltage of half-edge {eid} is not antisymmetric")
-        if not self.base.is_connected():
-            raise LatticeError("base graph must be connected")
         if not self._derived_connected():
             raise LatticeError("derived periodic graph is disconnected"
                                " (cycle voltages do not generate the full translation group)")
 
     def _derived_connected(self) -> bool:
-        # Connected iff the voltages of the fundamental cycles generate Z^d.
-        tree = spanning_tree(self.base)
+        # The base graph must be connected (spanning_tree raises otherwise); the
+        # derived graph then is iff the fundamental-cycle voltages generate Z^d.
+        try:
+            tree = spanning_tree(self.base)
+        except DisconnectedGraphError:
+            raise LatticeError("base graph must be connected") from None
         pot = tree_potentials(self.base, self.voltage, tree)
         cycles = []
         for eid, e in self.base.half_edges.items():
@@ -412,28 +415,37 @@ class EdgeConnectivity:
 
 
 def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization,
-                               radius: int = 3) -> EdgeConnectivity:
+                               radius: int | None = None) -> EdgeConnectivity:
     """Window estimate of the edge connectivity of the infinite graph.
 
-    Minimum over interior vertices t of the max flow from the first interior
-    vertex to t (the sink is the first minimizing t).  An orbit with both ends
-    interior has capacity 1; one that touches the boundary margin has a
-    capacity above every such cut, so boundary cuts never count.  The
-    certificate is `value` source-sink walks read off the flow, which share no
-    interior orbit: they are edge-disjoint on the interior edges only.
+    Minimum, over the sinks (u, 0) for each base vertex u, of the max flow
+    from the first interior vertex, the corner at index -(R-1), to the sink
+    (the sink is the first minimizing u).  A least cut of a periodic graph of
+    dimension 2 or more has a finite side, and a translate of that side takes
+    in some (u, 0) and leaves out the corner, so these sinks find the cut once
+    it fits in the window.  An orbit with both ends interior has capacity 1;
+    one that touches the boundary margin has a capacity above every such cut,
+    so boundary cuts never count.  The certificate is `value` source-sink
+    walks read off the flow, which share no interior orbit: they are
+    edge-disjoint on the interior edges only.  Without a radius, the window
+    is the largest of radius at most 3 that fits MAX_WINDOW_VERTICES (2 if
+    none does).
     """
+    if radius is None:
+        n_base = len(lattice.base.vertices)
+        radius = next((r for r in (3, 2)
+                       if n_base * (2 * r + 1) ** lattice.dim <= MAX_WINDOW_VERTICES), 2)
     if radius < 2:
         raise LatticeError("edge connectivity needs radius >= 2")
     win = instantiate_window(lattice, realization, radius)
     interior = win.interior_mask(CONNECTIVITY_MARGIN)
-    inner = np.flatnonzero(interior).tolist()
-    if len(inner) < 2:
-        raise LatticeError("window too small: no interior vertex pair")
+    s = int(np.argmax(interior))
+    origin = (0,) * lattice.dim
+    sinks = [win.vertex_index[u, origin] for u in lattice.base.vertices]
     adjacency, tails = win.adjacency, win.orbit_ends[:, 0].tolist()
     cap = np.where(interior[win.orbit_ends].all(axis=1), 1, len(tails) + 1).tolist()
-    s = inner[0]
     best = (math.inf, None, None)
-    for t in inner[1:]:
+    for t in sinks:
         # Edmonds-Karp with one signed flow per orbit, positive from its tail; a
         # pair stops at the best value so far, since it can no longer beat it
         flow, value = [0] * len(tails), 0

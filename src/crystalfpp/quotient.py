@@ -9,7 +9,6 @@ verify_diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -134,28 +133,6 @@ def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unimodular_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[x for x in row[n:]] for row in a]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
 # ---------------------------------------------------------------------------
 # kernel sublattices and quotient construction
 
@@ -166,25 +143,26 @@ class KernelSublattice:
 
     The quotient Z^d / span(columns) must be torsion-free (all invariant
     factors 1), which is exactly the rational-projection condition.
+    Construction checks it, with the column lengths and the rank.
     """
 
     columns: tuple[tuple[int, ...], ...]
     dim: int
 
-    @staticmethod
-    def of(columns: Sequence[Sequence[int]], dim: int) -> "KernelSublattice":
-        cols = tuple(tuple(int(c) for c in col) for col in columns)
-        for col in cols:
-            if len(col) != dim:
-                raise LatticeError(f"kernel column {col} does not have dimension {dim}")
-        k = KernelSublattice(cols, dim)
-        if cols:
-            factors = invariant_factors(k.matrix())
-            if len(factors) != len(cols):
+    def __post_init__(self):
+        for col in self.columns:
+            if len(col) != self.dim:
+                raise LatticeError(f"kernel column {col} does not have dimension {self.dim}")
+        if self.columns:
+            factors = invariant_factors(self.matrix())
+            if len(factors) != len(self.columns):
                 raise RankError("kernel columns are linearly dependent")
             if any(f != 1 for f in factors):
                 raise TorsionError(factors)
-        return k
+
+    @staticmethod
+    def of(columns: Sequence[Sequence[int]], dim: int) -> "KernelSublattice":
+        return KernelSublattice(tuple(tuple(int(c) for c in col) for col in columns), dim)
 
     def matrix(self) -> Matrix:
         """d x r matrix with the kernel generators as columns."""
@@ -263,18 +241,12 @@ def build_quotient(lattice: CrystalLattice, realization: Realization,
     if d1 < 1:
         raise LatticeError("kernel rank must leave at least one quotient dimension")
 
-    if r:
-        u_mat, diag, _ = smith_normal_form(kernel.matrix())
-        factors = tuple(diag[i][i] for i in range(r) if diag[i][i])
-        if len(factors) != r:
-            raise RankError("kernel columns are linearly dependent")
-        if any(f != 1 for f in factors):
-            raise TorsionError(factors)
-    else:
-        u_mat = _eye(d)
-    u_inv = _unimodular_inverse(u_mat)
+    u_mat, _, _ = smith_normal_form(kernel.matrix())
+    # U is unimodular, so its own form is U2 U V2 = I and U^-1 = V2 U2
+    u2, _, v2 = smith_normal_form(u_mat)
     q = tuple(tuple(row) for row in u_mat[r:])
-    section = tuple(tuple(u_inv[i][r + j] for j in range(d1)) for i in range(d))
+    section = tuple(tuple(sum(a * b[r + j] for a, b in zip(row, u2)) for j in range(d1))
+                    for row in v2)
 
     rho = realization.period_matrix()
     kernel_real = rho @ np.array(kernel.matrix(), dtype=float).reshape(d, r)

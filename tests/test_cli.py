@@ -279,6 +279,9 @@ class TestExitCodes:
                      "t_grid": []}}),
         (["quotient", "--config", "{tmp}/c.json"], {"c.json": {"kernel": "1,-1",
                                                               "tolerance": -1}}),
+        (["mu", "--config", "{tmp}/c.json"], {"c.json": {"threads": 257}}),
+        (["mu", "--preset", "cubic2", "--dist", "exponential:1", "--direction", "1,0",
+          "--seed", "-1"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -293,7 +296,8 @@ class TestExitCodes:
             "kernel-huge-dependent", "kernel-huge-torsion", "kernel-huge-entry",
             "kernel-singular-quotient-period", "grid-boolean", "grid-string",
             "t-grid-boolean", "dist-boolean-param", "dist-string-param", "p-grid-empty",
-            "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative"])
+            "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative",
+            "threads-huge", "seed-negative"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):
@@ -488,6 +492,19 @@ class TestLatticeAndQuotientCommands:
         assert run_cli(["lattice", "--lattice-file", str(lattice_file),
                         "--radius", "2", "--out", str(out2), "--threads", "1"]) == 0
         assert (out2 / "lattice.txt").read_bytes() == lattice_file.read_bytes()
+
+    def test_cubic7_lattice_command_finds_its_connectivity(self, tmp_path):
+        # the R = 3 window of cubic7 is above the vertex cap, so the connectivity
+        # window drops to R = 2 whatever --radius sizes the printed window
+        out = tmp_path / "c7"
+        proc = subprocess.run(
+            [sys.executable, "-m", "crystalfpp.cli", "lattice", "--preset", "cubic7",
+             "--radius", "1", "--out", str(out), "--threads", "1"],
+            capture_output=True, text=True, timeout=120, env=PACKAGE_ENV)
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "window_vertices=2187" in summary
+        assert "edge_connectivity=14" in summary and "certificate_paths=14" in summary
 
     def test_quotient_writes_sublattice_file(self, tmp_path):
         out = tmp_path / "q"

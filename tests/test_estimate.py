@@ -365,8 +365,10 @@ class TestLiftingInequality:
             targets = [(0, (0,))] + ([(1, (1,))] if case == "one-unreachable" else [])
         idx = [win.vertex_index[v] for v in targets]
         p, thresholds = Fraction(1, 3), [0, 1, 2, 3]
-        got = estimate_module._enumerate_tail(win, source, idx, p, 0, 1, thresholds)
-        assert got == exhaustive_tail(win, win.vertex_index[source], idx, p, 0, 1, thresholds)
+        src = win.vertex_index[source]
+        relevant = estimate_module._relevant_orbits(win, src, idx)
+        got = estimate_module._enumerate_tail(win, src, idx, relevant, p, 0, 1, thresholds)
+        assert got == exhaustive_tail(win, src, idx, p, 0, 1, thresholds)
         if case == "unreachable":
             assert got == [1, 1, 1, 1]
 
@@ -400,7 +402,8 @@ class TestLiftingInequality:
                                        Fraction(0), Fraction(1, 2), Fraction(1)]))
         low, high = data.draw(st.sampled_from([(0, 1), (1, 2), (1, 1), (2, 5)]))
         thresholds = [0, 1, 2, 3, 5, 8]
-        got = estimate_module._enumerate_tail(win, win.vertices[src], targets, p, low, high,
+        relevant = estimate_module._relevant_orbits(win, src, targets)
+        got = estimate_module._enumerate_tail(win, src, targets, relevant, p, low, high,
                                               thresholds)
         assert got == exhaustive_tail(win, src, targets, p, low, high, thresholds)
 

@@ -142,6 +142,12 @@ class TestBuildCustom:
         with pytest.raises(LatticeError):
             CrystalLattice(base, 1, {0: (2,), 1: (-2,)})
 
+    def test_disconnected_base_graph_rejected(self):
+        # vertex 1 has no edge: a contract error, not the tree's DisconnectedGraphError
+        base = graph_from_edges(2, [(0, 0)])
+        with pytest.raises(LatticeError, match="^base graph must be connected$"):
+            CrystalLattice(base, 1, {0: (1,), 1: (-1,)})
+
     def test_antisymmetry_enforced(self):
         base = graph_from_edges(1, [(0, 0)])
         with pytest.raises(LatticeError):
@@ -290,6 +296,12 @@ class TestEdgeConnectivity:
         assert v2 >= v3 >= v4
         assert v3 == v4 == expected
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_cubic_value_is_2d_at_the_default_radius(self, d):
+        result = edge_connectivity_estimate(*build_preset(f"cubic{d}"))
+        assert (result.value, result.radius) == (2 * d, 3)
+        assert result.sink == (0, (0,) * d)
+
     def test_window_too_small(self):
         lat, real = build_preset("cubic2")
         with pytest.raises(LatticeError):
@@ -332,7 +344,11 @@ class TestEdgeConnectivity:
         flows = [maximum_flow(graph, inner[0], t).flow_value for t in inner[1:]]
         assert result.source == win.vertices[inner[0]]
         assert result.value == min(flows)
-        assert result.sink == win.vertices[inner[1 + flows.index(min(flows))]]
+        # the sink is the first minimizer among the (u, 0), one per base vertex
+        sinks = [(u, (0,) * lat.dim) for u in lat.base.vertices]
+        sink_flows = [maximum_flow(graph, inner[0], win.vertex_index[t]).flow_value
+                      for t in sinks]
+        assert result.sink == sinks[sink_flows.index(min(sink_flows))]
 
 
 class TestSerialization:

@@ -15,7 +15,6 @@ from crystalfpp.quotient import (
     invariant_factors,
     smith_normal_form,
     verify_diagram,
-    _unimodular_inverse,
 )
 
 
@@ -45,6 +44,32 @@ def assert_snf_valid(m):
         elif seen_zero:
             pytest.fail("zero before nonzero invariant factor")
     return tuple(nz)
+
+
+PRESET_KERNELS = [("cubic2", ((1, -1),)), ("cubic2", ()), ("cubic3", ((1, 1, 1),)),
+                  ("cubic3", ((5, -4, 3),)), ("diamond", ((0, 0, 1),)),
+                  ("cubic4", ((1, 1, 0, 0), (0, 1, 1, 2)))]
+# (q, section) at the values the earlier Fraction Gauss-Jordan inverse of U
+# gave; quotient files and hashes depend on them
+PINNED_SECTIONS = {
+    ("cubic3", ((1, 1, 1),)): (((-1, 1, 0), (-1, 0, 1)), ((0, 0), (1, 0), (0, 1))),
+    ("cubic3", ((5, -4, 3),)): (((0, 3, 4), (1, -1, -3)), ((2, 1), (-1, 0), (1, 0))),
+}
+
+
+def random_kernels(n, seed=2024):
+    """n valid kernels on cubic2-cubic4: rank 1 to d - 1, entries in -5..5."""
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        d = rng.randrange(2, 5)
+        columns = tuple(tuple(rng.randrange(-5, 6) for _ in range(d))
+                        for _ in range(rng.randrange(1, d)))
+        try:
+            KernelSublattice.of(columns, d)
+        except LatticeError:  # dependent columns or a torsion quotient
+            continue
+        out.append((f"cubic{d}", columns))
+    return out
 
 
 class TestSmithNormalForm:
@@ -78,12 +103,6 @@ class TestSmithNormalForm:
         m = [[10**12, 3], [7, 10**15]]
         factors = assert_snf_valid(m)
         assert factors == invariant_factors_by_minors(m)
-
-    def test_unimodular_inverse(self):
-        u = [[1, 0], [1, 1]]
-        assert _unimodular_inverse(u) == [[1, 0], [-1, 1]]
-        with pytest.raises(ValueError):
-            _unimodular_inverse([[2, 0], [0, 1]])
 
 
 class TestKernelSublattice:
@@ -132,10 +151,29 @@ class TestBuildQuotient:
         assert np.max(np.abs(imgs[0] + imgs[1] + imgs[2])) < 1e-12
 
     def test_torsion_kernel_rejected(self):
-        # bypass the constructor validation; build_quotient re-checks via SNF
+        # the constructor itself validates, so a kernel built directly is checked too
         lat, real = build_preset("cubic2")
         with pytest.raises(TorsionError):
             build_quotient(lat, real, KernelSublattice(((2, 0),), 2))
+
+    @pytest.mark.parametrize("preset,columns", PRESET_KERNELS + random_kernels(24),
+                             ids=lambda c: ";".join(",".join(map(str, col)) for col in c)
+                             if isinstance(c, tuple) else c)
+    def test_section_is_the_tail_of_the_inverse_of_u(self, preset, columns):
+        # U K V = [I; 0]: q is U's last d1 rows, and section is the last d1
+        # columns of U^-1, so U @ section = [0; I] pins it
+        lat, real = build_preset(preset)
+        kernel = KernelSublattice.of(columns, lat.dim)
+        q = build_quotient(lat, real, kernel)
+        r, d1 = kernel.rank, q.dim_quotient
+        eye = [[int(i == j) for j in range(d1)] for i in range(d1)]
+        assert matmul(q.q, q.section) == eye
+        if r:
+            assert matmul(q.q, kernel.matrix()) == [[0] * r for _ in range(d1)]
+        u = smith_normal_form(kernel.matrix())[0]
+        assert matmul(u, q.section) == [[0] * d1 for _ in range(r)] + eye
+        if (preset, columns) in PINNED_SECTIONS:
+            assert (q.q, q.section) == PINNED_SECTIONS[preset, columns]
 
     @pytest.mark.parametrize("preset,column,failure", [
         ("cubic3", (10 ** 30, 1, 0), "projection image is rank deficient"),
