@@ -250,16 +250,16 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
 
 
 def _moment_guard(lattice: CrystalLattice, realization: Realization,
-                  distribution: TimeDistribution,
-                  edge_connectivity: int | None = None) -> tuple[int, str]:
-    """Edge connectivity (estimated if not given) and the moment-check witness;
-    raises MomentConditionError when the moment condition fails."""
-    if edge_connectivity is None:
-        edge_connectivity = edge_connectivity_estimate(lattice, realization).value
-    check = moment_check(distribution, edge_connectivity, lattice.dim)
+                  distribution: TimeDistribution) -> str:
+    """The moment-check witness; raises MomentConditionError when the moment
+    condition fails.  Only a pareto verdict depends on the edge connectivity,
+    so only a pareto law pays for its max flow."""
+    k = (edge_connectivity_estimate(lattice, realization).value
+         if distribution.family == "pareto" else 1)
+    check = moment_check(distribution, k, lattice.dim)
     if not check.finite:
         raise MomentConditionError(check.witness)
-    return edge_connectivity, check.witness
+    return check.witness
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +289,15 @@ class TimeConstantEstimate:
     replica_radii: tuple[int, ...]
     enlargements: int
     base_seed: int
-    seed_role: int
     distribution_label: str
     lattice_id: str
-    edge_connectivity: int
     moment_witness: str
 
 
 def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
                            distribution: TimeDistribution, direction: Sequence,
                            k_max: int, replicas: int, base_seed: int, *,
-                           seed_role: int = 0, workers: int = 1,
-                           edge_connectivity: int | None = None) -> TimeConstantEstimate:
+                           seed_role: int = 0, workers: int = 1) -> TimeConstantEstimate:
     """Monte Carlo time constant along a rational direction.
 
     The window follows the policy of _unflagged_replicas: it starts past the
@@ -314,8 +311,7 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     coords, n_scale, step = rational_direction(direction)
     if len(coords) != lattice.dim:
         raise ValueError(f"direction has dimension {len(coords)}, lattice {lattice.dim}")
-    edge_connectivity, witness = _moment_guard(lattice, realization, distribution,
-                                               edge_connectivity)
+    witness = _moment_guard(lattice, realization, distribution)
 
     u0 = lattice.base.vertices[0]
     results, _, radius, enlargements, radii = _unflagged_replicas(
@@ -333,10 +329,9 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     return TimeConstantEstimate(
         direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
         samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
-        replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed, seed_role=seed_role,
+        replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed,
         distribution_label=distribution.label(),
-        lattice_id=lattice_hash(lattice, realization),
-        edge_connectivity=edge_connectivity, moment_witness=witness)
+        lattice_id=lattice_hash(lattice, realization), moment_witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +570,7 @@ class MonotonicityEntry:
 class MonotonicityReport:
     qdata: QuotientData
     entries: tuple[MonotonicityEntry, ...]
-    k_max: int
     replicas: int
-    base_seed: int
-    distribution_label: str
 
     @property
     def all_passed(self) -> bool:
@@ -599,7 +591,6 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
     """
     qdata = build_quotient(lattice, realization, kernel)
     _moment_guard(lattice, realization, distribution)
-    l_quot, _ = _moment_guard(qdata.sub_lattice, qdata.sub_realization, distribution)
 
     rho_inv = np.linalg.inv(realization.period_matrix())
     u0 = lattice.base.vertices[0]
@@ -610,8 +601,7 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
             raise ValueError("quotient direction has wrong dimension")
         est1 = estimate_time_constant(
             qdata.sub_lattice, qdata.sub_realization, distribution, direction,
-            k_max, replicas, base_seed, seed_role=1, workers=workers,
-            edge_connectivity=l_quot)
+            k_max, replicas, base_seed, seed_role=1, workers=workers)
 
         target1 = tuple(k_max * c for c in step1)
         # window around the Euclidean foot of the preimage affine subspace
@@ -633,8 +623,7 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,
             slack=slack, fiber_size=len(fiber_idx), radius_cover=radius,
             replica_radii_quotient=est1.replica_radii, replica_radii_cover=tuple(radii)))
-    return MonotonicityReport(qdata, tuple(entries), k_max, replicas, base_seed,
-                              distribution.label())
+    return MonotonicityReport(qdata, tuple(entries), replicas)
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +660,7 @@ class LiftReport:
     mode: str
     rows: tuple[LiftRow, ...]
     fiber_size: int
-    radius_quotient: int
-    radius_cover: int
     config_count: int
-    replicas: int
-    window_restricted: bool = True
 
     @property
     def all_passed(self) -> bool:
@@ -839,8 +824,7 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         rhs = _enumerate_tail(window_x, src_x, fiber_idx, rel_x, p, low, high, scaled)
         rows = tuple(LiftRow(float(t), float(l), float(r), 0.0, 0.0, l, r, 0.0)
                      for t, l, r in zip(thresholds, lhs, rhs))
-        return LiftReport("exhaustive", rows, len(fiber_idx), r_quotient, r_cover,
-                          count, 0)
+        return LiftReport("exhaustive", rows, len(fiber_idx), count)
 
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
@@ -859,8 +843,7 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         se_r = math.sqrt(rhs_hat * (1 - rhs_hat) / replicas)
         slack = slack_z * math.sqrt(se_l ** 2 + se_r ** 2)
         rows.append(LiftRow(float(t), lhs_hat, rhs_hat, se_l, se_r, None, None, slack))
-    return LiftReport("monte_carlo", tuple(rows), len(fiber_idx), r_quotient, r_cover,
-                      0, replicas)
+    return LiftReport("monte_carlo", tuple(rows), len(fiber_idx), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -893,13 +876,11 @@ def positivity_scan(lattice: CrystalLattice, realization: Realization,
     the estimates are nonincreasing within slack and flags the p values whose
     estimate is statistically indistinguishable from zero.
     """
-    l_x = edge_connectivity_estimate(lattice, realization).value
     rows = []
     for idx, p in enumerate(p_grid):
         est = estimate_time_constant(
             lattice, realization, TimeDistribution.bernoulli(p), direction,
-            k_max, replicas, base_seed, seed_role=idx, workers=workers,
-            edge_connectivity=l_x)
+            k_max, replicas, base_seed, seed_role=idx, workers=workers)
         zero = est.point_estimate <= slack_z * est.std_error + 1e-12
         rows.append(PositivityRow(float(p), est.point_estimate, est.std_error, zero))
     ok = True

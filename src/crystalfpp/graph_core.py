@@ -185,55 +185,3 @@ def tree_partition(window, base_tree: Sequence[int]) -> dict[tuple[int, ...], fr
             out[z] = frozenset(copy)
     return out
 
-
-def graph_to_lines(graph: FiniteGraph,
-                   voltage: Mapping[int, tuple[int, ...]] | None = None) -> list[str]:
-    """Serialize a graph as text lines.
-
-    Field order: ``halfedge <id> <origin> <terminus> <inverse> [voltage...]``.
-    """
-    lines = [f"vertices {len(graph.vertices)}"]
-    lines += [f"vertex {v}" for v in graph.vertices]
-    lines.append(f"halfedges {len(graph.half_edges)}")
-    for eid, e in graph.half_edges.items():
-        rec = f"halfedge {eid} {e.origin} {e.terminus} {e.inverse}"
-        if voltage is not None:
-            rec += " " + " ".join(str(c) for c in voltage[eid])
-        lines.append(rec)
-    return lines
-
-
-def graph_from_lines(lines: Sequence[str], dim: int | None = None):
-    """Inverse of graph_to_lines.  Returns (graph, voltage or None, rest)."""
-    it = iter(lines)
-
-    def next_tokens(expect: str, fields: int = 2) -> list[str]:
-        for raw in it:
-            s = raw.strip()
-            if not s or s.startswith("#"):
-                continue
-            tok = s.split()
-            if tok[0] != expect or len(tok) < fields:
-                raise GraphError(f"expected '{expect}' record with {fields - 1}"
-                                 f" or more fields, got {s!r}")
-            return tok
-        raise GraphError(f"unexpected end of input, expected '{expect}'")
-
-    n = int(next_tokens("vertices")[1])
-    vertices = [int(next_tokens("vertex")[1]) for _ in range(n)]
-    m = int(next_tokens("halfedges")[1])
-    half_edges = []
-    voltage: dict[int, tuple[int, ...]] = {}
-    has_voltage = False
-    for _ in range(m):
-        tok = next_tokens("halfedge", 5)
-        eid, o, t, inv = (int(x) for x in tok[1:5])
-        half_edges.append(HalfEdge(eid, o, t, inv))
-        if len(tok) > 5:
-            has_voltage = True
-            vec = tuple(int(x) for x in tok[5:])
-            if dim is not None and len(vec) != dim:
-                raise GraphError(f"voltage of half-edge {eid} has wrong dimension")
-            voltage[eid] = vec
-    rest = [s for s in it]
-    return FiniteGraph(vertices, half_edges), (voltage if has_voltage else None), rest

@@ -20,9 +20,8 @@ import numpy as np
 from .graph_core import (
     DisconnectedGraphError,
     FiniteGraph,
+    HalfEdge,
     graph_from_edges,
-    graph_from_lines,
-    graph_to_lines,
     spanning_tree,
     tree_potentials,
 )
@@ -59,6 +58,8 @@ class CrystalLattice:
                  voltage: Mapping[int, tuple[int, ...]]):
         if dim < 1:
             raise LatticeError("lattice dimension must be positive")
+        if not base.vertices:
+            raise LatticeError("base graph has no vertices")
         self.base = base
         self.dim = dim
         for eid in base.half_edges:
@@ -378,11 +379,15 @@ def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
                  period: Sequence[Sequence[float]]) -> tuple[CrystalLattice, Realization]:
     """Validated lattice + realization from raw parts.
 
-    Checks voltage antisymmetry, connectivity of the derived graph, a
-    nonsingular period, and nondegeneracy (injectivity) on a probe window.
+    Checks voltage antisymmetry, connectivity of the derived graph, one
+    position per base vertex and no other, a nonsingular period, and
+    nondegeneracy (injectivity) on a probe window.
     """
     lat = CrystalLattice(base, len(period), voltage)
-    real = _realization_of(lat, positions, period)
+    if set(positions) != set(base.vertices):
+        raise LatticeError(f"positions are given for vertices {sorted(positions)},"
+                           f" the base graph has {sorted(base.vertices)}")
+    real = Realization(positions, period)
     win = instantiate_window(lat, real, PROBE_RADIUS)
     order = np.lexsort(win.coords.T[::-1])
     pts = win.coords[order]
@@ -390,15 +395,6 @@ def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
     if len(pts) > 1 and float(gaps.min()) < DEGENERACY_TOL:
         raise LatticeError("realization is degenerate: two vertices realize the same point")
     return lat, real
-
-
-def _realization_of(lattice: CrystalLattice, positions: Mapping[int, Sequence[float]],
-                    period: Sequence[Sequence[float]]) -> Realization:
-    """The realization of a lattice, with one position per base vertex and no other."""
-    if set(positions) != set(lattice.base.vertices):
-        raise LatticeError(f"positions are given for vertices {sorted(positions)},"
-                           f" the base graph has {sorted(lattice.base.vertices)}")
-    return Realization(positions, period)
 
 
 # ---------------------------------------------------------------------------
@@ -492,47 +488,66 @@ FORMAT_HEADER = "crystal-lattice 1"
 
 
 def lattice_to_text(lattice: CrystalLattice, realization: Realization) -> str:
-    """Stable text form: header, dim, graph with voltages, positions, period rows."""
-    lines = [FORMAT_HEADER, f"dim {lattice.dim}"]
-    lines += graph_to_lines(lattice.base, lattice.voltage)
-    for u in lattice.base.vertices:
-        coords = " ".join(repr(c) for c in realization.positions[u])
-        lines.append(f"position {u} {coords}")
-    for row in realization.period:
-        lines.append("period " + " ".join(repr(c) for c in row))
+    """Stable text form: header, dim, vertices, half-edges with their voltages,
+    positions, period rows."""
+    base = lattice.base
+    lines = [FORMAT_HEADER, f"dim {lattice.dim}", f"vertices {len(base.vertices)}"]
+    lines += [f"vertex {v}" for v in base.vertices]
+    lines.append(f"halfedges {len(base.half_edges)}")
+    lines += [f"halfedge {eid} {e.origin} {e.terminus} {e.inverse} "
+              + " ".join(str(c) for c in lattice.voltage[eid])
+              for eid, e in base.half_edges.items()]
+    lines += [f"position {u} " + " ".join(repr(c) for c in realization.positions[u])
+              for u in base.vertices]
+    lines += ["period " + " ".join(repr(c) for c in row) for row in realization.period]
     return "\n".join(lines) + "\n"
 
 
 def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
-    lines = [s for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
-    if not lines or lines[0].strip() != FORMAT_HEADER:
+    """Read lattice_to_text's form; build_custom checks the parts.
+
+    Blank lines and lines starting with '#' are skipped.  The records come in
+    the written order, except that position and period records may mix, and
+    every halfedge record carries exactly dim voltage entries.
+    """
+    lines = [s.strip() for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
+    if not lines or lines[0] != FORMAT_HEADER:
         raise LatticeError(f"missing format header {FORMAT_HEADER!r}")
-    tok = lines[1].split() if len(lines) > 1 else []
-    if len(tok) < 2 or tok[0] != "dim":
-        raise LatticeError("missing dim record")
+    records = iter([s.split() for s in lines[1:]])
+
+    def record(name: str, fields: int = 2) -> list[str]:
+        tok = next(records, [])
+        if tok[:1] != [name] or len(tok) < fields:
+            raise LatticeError(f"expected a {name!r} record with {fields - 1} or more fields,"
+                               f" got {' '.join(tok)!r}")
+        return tok
+
+    tok = record("dim")
     try:
         dim = int(tok[1])
     except ValueError:
         raise LatticeError(f"dim record needs an integer, got {tok[1]!r}") from None
-    graph, voltage, rest = graph_from_lines(lines[2:], dim=dim)
-    if voltage is None:
-        raise LatticeError("lattice file lacks voltage vectors")
+    vertices = [int(record("vertex")[1]) for _ in range(int(record("vertices")[1]))]
+    half_edges, voltage = [], {}
+    for _ in range(int(record("halfedges")[1])):
+        tok = record("halfedge", 5)
+        eid, origin, terminus, inverse = (int(x) for x in tok[1:5])
+        if len(tok) != 5 + dim:
+            raise LatticeError(f"half-edge {eid} needs {dim} voltage entries, got {len(tok) - 5}")
+        half_edges.append(HalfEdge(eid, origin, terminus, inverse))
+        voltage[eid] = tuple(int(x) for x in tok[5:])
     positions: dict[int, tuple[float, ...]] = {}
     period_rows: list[tuple[float, ...]] = []
-    for raw in rest:
-        tok = raw.split()
-        if tok[0] == "position":
-            if len(tok) < 2:
-                raise LatticeError(f"position record needs a vertex id: {raw!r}")
+    for tok in records:
+        if tok[0] == "position" and len(tok) > 1:
             positions[int(tok[1])] = tuple(float(x) for x in tok[2:])
         elif tok[0] == "period":
             period_rows.append(tuple(float(x) for x in tok[1:]))
         else:
-            raise LatticeError(f"unexpected record {raw!r}")
+            raise LatticeError(f"unexpected record {' '.join(tok)!r}")
     if len(period_rows) != dim:
         raise LatticeError("period matrix row count does not match dim")
-    lattice = CrystalLattice(graph, dim, voltage)
-    return lattice, _realization_of(lattice, positions, period_rows)
+    return build_custom(FiniteGraph(vertices, half_edges), voltage, positions, period_rows)
 
 
 def lattice_hash(lattice: CrystalLattice, realization: Realization) -> str:

@@ -297,8 +297,6 @@ def covering_fiber(qdata: QuotientData, quotient_vertex: tuple[int, tuple[int, .
 class DiagramReport:
     max_deviation: float
     tolerance: float
-    radius: int
-    n_vertices: int
 
     @property
     def passed(self) -> bool:
@@ -315,4 +313,4 @@ def verify_diagram(qdata: QuotientData, radius: int = 3, tol: float = 1e-9) -> D
     # a stack of matrix-vector products, rounded as rho1 @ z rounds one vertex
     rhs = np.tile(pos1, (len(win.indices), 1)) + (rho1 @ projected[:, :, None])[:, :, 0]
     dev = float(np.max(np.linalg.norm(lhs - rhs, axis=1))) if len(win.vertices) else 0.0
-    return DiagramReport(dev, tol, radius, len(win.vertices))
+    return DiagramReport(dev, tol)

@@ -286,12 +286,13 @@ def test_12_moment_gate():
     with criterion(12, "estimators refuse the heavy pareto tail and accept"
                        " the lighter one", 1.0):
         lat, real = build_preset("cubic2")
-        conn = 4  # pinned by criterion statement; verified in the lattice tests
+        # the witnesses 1.6 = 4 x 0.4 and 2.4 = 4 x 0.6 show the guard used the
+        # edge connectivity 4 that the criterion statement pins
         with pytest.raises(MomentConditionError) as err:
             estimate_time_constant(lat, real, TimeDistribution.pareto(0.4),
-                                   (1, 0), 2, 2, 1, edge_connectivity=conn)
+                                   (1, 0), 2, 2, 1)
         assert "1.6" in str(err.value) and "pareto" in str(err.value)
         est = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6),
-                                     (1, 0), 2, 2, 1, edge_connectivity=conn)
+                                     (1, 0), 2, 2, 1)
         assert "2.4" in est.moment_witness
         assert est.point_estimate > 0

@@ -191,6 +191,9 @@ class TestExitCodes:
     HONEYCOMB_WITHOUT_POSITION_1 = "".join(
         line for line in lattice_to_text(*build_preset("honeycomb")).splitlines(True)
         if not line.startswith("position 1 "))
+    # both base vertices at the origin: build_custom's injectivity probe refuses it
+    HONEYCOMB_DEGENERATE = lattice_to_text(*build_preset("honeycomb")).replace(
+        "position 1 1.0 0.0", "position 1 0.0 0.0")
 
     @staticmethod
     def shape_csv(time: str) -> str:
@@ -282,6 +285,9 @@ class TestExitCodes:
         (["mu", "--config", "{tmp}/c.json"], {"c.json": {"threads": 257}}),
         (["mu", "--preset", "cubic2", "--dist", "exponential:1", "--direction", "1,0",
           "--seed", "-1"], {}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"], {"lat.txt": HONEYCOMB_DEGENERATE}),
+        (["lattice", "--lattice-file", "{tmp}/lat.txt"],
+         {"lat.txt": "crystal-lattice 1\ndim 1\nvertices 0\nhalfedges 0\nperiod 1.0\n"}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -297,7 +303,8 @@ class TestExitCodes:
             "kernel-singular-quotient-period", "grid-boolean", "grid-string",
             "t-grid-boolean", "dist-boolean-param", "dist-string-param", "p-grid-empty",
             "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative",
-            "threads-huge", "seed-negative"])
+            "threads-huge", "seed-negative", "degenerate-lattice-file",
+            "lattice-without-vertices"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
         for name, content in files.items():
             if name.endswith(".json"):

@@ -148,6 +148,31 @@ class TestTimeConstant:
         assert base.samples == alt.samples == trans.samples
 
 
+class TestMomentGuard:
+    """Only a pareto verdict depends on the edge connectivity, so only a
+    pareto law runs its max flow."""
+
+    def test_light_laws_skip_the_max_flow(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("edge connectivity computed for a light-tailed law")
+
+        monkeypatch.setattr(estimate_module, "edge_connectivity_estimate", refuse)
+        lat, real = build_preset("cubic2")
+        estimate_time_constant(lat, real, EXP1, (1, 0), 2, 2, 1)
+        positivity_scan(lat, real, [0.0, 0.5], (1, 0), 2, 2, 1)
+        monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
+                                [(1,)], 2, 2, 1)
+
+    def test_pareto_law_runs_the_max_flow(self, monkeypatch):
+        calls = []
+        connectivity = estimate_module.edge_connectivity_estimate
+        monkeypatch.setattr(estimate_module, "edge_connectivity_estimate",
+                            lambda *args: calls.append(args) or connectivity(*args))
+        lat, real = build_preset("cubic2")
+        est = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6), (1, 0), 2, 2, 1)
+        assert len(calls) == 1 and "2.4" in est.moment_witness
+
+
 class TestShape:
     def test_deterministic_cubic_is_l1_ball(self):
         lat, real = build_preset("cubic2")
@@ -320,7 +345,6 @@ class TestLiftingInequality:
         assert by_t[1.0].rhs_exact <= Fraction(1, 4)
         assert by_t[2.0].lhs_exact == 0 and by_t[2.0].rhs_exact == 0
         assert report.all_passed
-        assert report.window_restricted
 
     # low == high makes every total exactly 0 or 1; with p != 1/2 that also
     # catches high orbits counted from the weights instead of the mask.  The

@@ -429,6 +429,19 @@ class TestMomentCheck:
                   TimeDistribution.uniform(0, 2)):
             assert moment_check(d, 1, 5).finite
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(dist=st.one_of(
+        st.floats(0, 10).map(TimeDistribution.deterministic),
+        st.floats(0, 1).map(TimeDistribution.bernoulli),
+        st.tuples(st.floats(0, 5), st.floats(0, 5)).map(
+            lambda ab: TimeDistribution.uniform(min(ab), max(ab))),
+        st.floats(0.01, 10).map(TimeDistribution.exponential)),
+        power=st.integers(1, 8))
+    def test_light_laws_ignore_the_connectivity(self, dist, power):
+        # the estimators' guard passes k = 1 for every law but pareto
+        checks = [moment_check(dist, k, power) for k in range(1, 17)]
+        assert all(c == checks[0] for c in checks) and checks[0].finite
+
 
 class TestPercolationRegion:
     def test_zero_time_continuous_gives_source_only(self):

@@ -6,8 +6,6 @@ from crystalfpp.graph_core import (
     DisconnectedGraphError,
     HalfEdge,
     graph_from_edges,
-    graph_from_lines,
-    graph_to_lines,
     spanning_tree,
     tree_partition,
 )
@@ -115,25 +113,3 @@ class TestTreePartition:
         total = sum(len(c) for c in parts.values())
         assert total == len(lat.base.vertices) * len(parts)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
-        voltage = {}
-        for eid, e in g.half_edges.items():
-            if eid % 2 == 0:
-                voltage[eid] = (eid, -1)
-        for eid, e in g.half_edges.items():
-            if eid % 2 == 1:
-                voltage[eid] = tuple(-c for c in voltage[e.inverse])
-        lines = graph_to_lines(g, voltage)
-        g2, v2, rest = graph_from_lines(lines)
-        assert g2 == g
-        assert v2 == voltage
-        assert rest == []
-        assert graph_to_lines(g2, v2) == lines
-
-    def test_without_voltage(self):
-        g = graph_from_edges(2, [(0, 1)])
-        g2, v2, _ = graph_from_lines(graph_to_lines(g))
-        assert g2 == g and v2 is None

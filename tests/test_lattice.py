@@ -31,9 +31,10 @@ PRESETS = ("cubic2", "cubic3", "triangular", "honeycomb", "diamond")
 
 
 def lattice_case(name):
-    """A preset, the cubic2 quotient by (1,-1) (parallel loop orbits), or a
+    """A preset, the cubic2 quotient by (1,-1) (parallel loop orbits), a
     two-vertex lattice whose edges 0, 1 and 4 join the same vertex pair (4 in
-    the opposite orientation) and whose edge 5 is a zero-voltage loop."""
+    the opposite orientation) and whose edge 5 is a zero-voltage loop, or a
+    three-vertex lattice of a triangle and a loop."""
     if name == "cubic2/(1,-1)":
         q = build_quotient(*build_preset("cubic2"), KernelSublattice.of([(1, -1)], 2))
         return q.sub_lattice, q.sub_realization
@@ -45,6 +46,15 @@ def lattice_case(name):
             voltage[2 * i + 1] = tuple(-c for c in vec)
         return build_custom(base, voltage, {0: (0.0, 0.0), 1: (0.5, 0.3)},
                             ((1.0, 0.0), (0.0, 1.0)))
+    if name == "three-vertex-loop":
+        # the triangle's cycle voltage (1, 1) and the loop's (0, 1) generate Z^2
+        base = graph_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+        voltage = {}
+        for i, vec in enumerate([(1, 0), (1, 1), (-1, 0), (0, 1)]):
+            voltage[2 * i] = vec
+            voltage[2 * i + 1] = tuple(-c for c in vec)
+        return build_custom(base, voltage, {0: (0.0, 0.0), 1: (0.3, 0.1), 2: (0.6, 0.5)},
+                            ((2.0, 0.5), (0.0, 1.5)))
     return build_preset(name)
 
 
@@ -147,6 +157,10 @@ class TestBuildCustom:
         base = graph_from_edges(2, [(0, 0)])
         with pytest.raises(LatticeError, match="^base graph must be connected$"):
             CrystalLattice(base, 1, {0: (1,), 1: (-1,)})
+
+    def test_empty_base_graph_rejected(self):
+        with pytest.raises(LatticeError, match="^base graph has no vertices$"):
+            CrystalLattice(graph_from_edges(0, []), 1, {})
 
     def test_antisymmetry_enforced(self):
         base = graph_from_edges(1, [(0, 0)])
@@ -352,9 +366,9 @@ class TestEdgeConnectivity:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("preset", PRESETS + ("three-vertex-loop",))
     def test_round_trip(self, preset):
-        lat, real = build_preset(preset)
+        lat, real = lattice_case(preset)
         text = lattice_to_text(lat, real)
         lat2, real2 = lattice_from_text(text)
         assert lat2 == lat
