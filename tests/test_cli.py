@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -398,6 +399,94 @@ class TestReproducibility:
         run_cli(base + ["--threads", "2", "--out", str(tmp_path / "par")])
         assert ((tmp_path / "serial" / "detail.csv").read_bytes()
                 == (tmp_path / "par" / "detail.csv").read_bytes())
+
+
+# seeded runs of every subcommand, each with the sha256 of its artifacts as
+# frozen_digest computes it; "render" renders the "shape" run's detail.csv
+GOLDEN_RUNS = {
+    "lattice-cubic1": ["lattice", "--preset", "cubic1", "--radius", "3"],
+    "lattice-cubic2": ["lattice", "--preset", "cubic2", "--radius", "2"],
+    "lattice-cubic3": ["lattice", "--preset", "cubic3", "--radius", "1"],
+    "lattice-triangular": ["lattice", "--preset", "triangular", "--radius", "2"],
+    "lattice-honeycomb": ["lattice", "--preset", "honeycomb", "--radius", "2"],
+    "lattice-diamond": ["lattice", "--preset", "diamond", "--radius", "1"],
+    "quotient": ["quotient", "--preset", "cubic3", "--kernel", "1,1,1", "--radius", "2"],
+    "mu-three-directions": ["mu", "--config", "dirs.json", "--preset", "triangular",
+                            "--dist", "exponential:1", "--k-max", "6", "--replicas", "6",
+                            "--seed", "11"],
+    "mu-pareto": ["mu", "--preset", "cubic2", "--dist", "pareto:0.6", "--direction", "1,0",
+                  "--k-max", "6", "--replicas", "6", "--seed", "7"],
+    "shape": ["shape", "--preset", "honeycomb", "--dist", "exponential:1", "--dirs", "8",
+              "--k-max", "4", "--replicas", "4", "--seed", "2"],
+    "monotonicity": ["monotonicity", "--preset", "cubic2", "--kernel", "1,-1",
+                     "--dist", "exponential:1", "--direction", "2", "--k-max", "4",
+                     "--replicas", "8", "--seed", "3"],
+    "lift-exhaustive": ["lift-check", "--preset", "cubic2", "--kernel", "1,-1",
+                        "--dist", "bernoulli:0.5", "--target-index", "1", "--t-grid", "0,1,2",
+                        "--mode", "exhaustive"],
+    "lift-monte-carlo": ["lift-check", "--preset", "cubic2", "--kernel", "1,-1",
+                         "--dist", "exponential:1", "--target-index", "1",
+                         "--t-grid", "0,0.5,1,2", "--mode", "monte_carlo", "--replicas", "24",
+                         "--seed", "5"],
+    "positivity": ["positivity", "--preset", "cubic2", "--direction", "1,0",
+                   "--p-grid", "0,0.3,0.45,0.6,1", "--k-max", "5", "--replicas", "6",
+                   "--seed", "3"],
+    "render": ["render", "--preset", "honeycomb", "--input-csv", "shape/detail.csv"],
+    "quotient-without-kernel": ["quotient", "--preset", "cubic2"],
+    "mu-without-direction": ["mu", "--preset", "cubic2", "--dist", "exponential:1"],
+}
+GOLDEN_DIGESTS = {
+    "lattice-cubic1": "f07eed201395745365f01c3c6cfd90f35f6c428ac0a10e6be6aa7e80ecce43c1",
+    "lattice-cubic2": "ad3262281ecd232a6acced233b98db55b64671140861b2c3987f41b36298e1e0",
+    "lattice-cubic3": "d150ed74559289f33a413bed4c4b2eb572b946d75b2a6ae302d26889132986cd",
+    "lattice-triangular": "fcf39313600eefa67db0c318854e24eb1d9bf7745d23ec39d0798fdd77a0abb3",
+    "lattice-honeycomb": "ebb4624370329170162174ab0a530173d2d2729e84829796dda94ea659396fd3",
+    "lattice-diamond": "0174017ce2a546c833b015e32ac2dfd1ad1717cc23e71cae85c33d15ecf2982a",
+    "quotient": "94d665c755090c99d55a0aec498b03c2c3ca85e2cea2062733e2f7c7f89af4fb",
+    "mu-three-directions": "659f07058b95f59f7e7d230e587a00ef6765a1cb8775a0101bd8aea3d20d74bd",
+    "mu-pareto": "6babd71b2ab929580d7d9298dddb67a09607009960cfcb681fbc7410f4c4673a",
+    "shape": "5dd8e5c4e95d239c7118444206b9f678021529e1e9c737bca82346aedd20711e",
+    "monotonicity": "cdd65b7e827ee0b6b9ebe29626de7de4b1a2b2627475456fa1d3e1f6d10044c1",
+    "lift-exhaustive": "e5b7d037a01e656dfa4b16710eeeacd62cfc6d612d9bc2801d7980af15c125ec",
+    "lift-monte-carlo": "a00bbe160a0dff153f60cc334679bd3913e820fcf760e120932a2f4ef9090ae7",
+    "positivity": "ffbd6e743bca50f0525ee22167315e8830a2feffa80168879c6d5ec394f4995c",
+    "render": "996ed060839ad8b4911197b8254946240f439473d32652474e661e4dc0f2a695",
+    "quotient-without-kernel": "9aebdda1f12cf25055afd2e878eb2f90e8142d6adf67e53ef66d2bf94103a9b4",
+    "mu-without-direction": "b768624574097b9b6a6bfb3e87b0ef744034dfd5f47566927683f1f83a7623be",
+}
+# summary lines that change with the time or the installed versions, not the run
+UNFROZEN_SUMMARY_LINES = (b"# timing:", b"crystalfpp_version=", b"numpy_version=")
+
+
+def frozen_digest(code: int, err: str, out) -> str:
+    """sha256 over the exit code, the error text and every artifact, the
+    summary without its unfrozen lines."""
+    h = hashlib.sha256(f"exit={code}\n{err}".encode())
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        data = path.read_bytes()
+        if path.name == "summary.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(UNFROZEN_SUMMARY_LINES))
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    """Byte identity of every subcommand's seeded artifacts across refactors.
+
+    Paths are relative, so the config line each summary echoes does not
+    depend on where the test runs."""
+
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_artifacts_match_the_frozen_digest(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dirs.json").write_text(json.dumps({"directions": ["1,0", "0,1", "2,1"]}))
+        if name == "render":
+            assert run_cli(GOLDEN_RUNS["shape"] + ["--out", "shape", "--threads", "1"]) == 0
+            capsys.readouterr()
+        code = run_cli(GOLDEN_RUNS[name] + ["--out", "out", "--threads", "1"])
+        assert frozen_digest(code, capsys.readouterr().err, tmp_path / "out") \
+            == GOLDEN_DIGESTS[name]
 
 
 class TestWindowAccounting:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -374,6 +375,21 @@ class TestSerialization:
         assert lat2 == lat
         assert real2 == real
         assert lattice_to_text(lat2, real2) == text
+
+    @pytest.mark.parametrize("preset,digest", [
+        ("cubic1", "33c0ce7681502afdbc5a1725df5d4daff3a07636b25c1fc107fd161db99cd2c9"),
+        ("cubic2", "9cb038c793f2755d84e50737a0060f6c488ccdde20498fa03fb0786a9ee5823b"),
+        ("cubic3", "dc936c6021f989e73f1df24c664f0721cdece93b414d2ef37d928310b5f32212"),
+        ("cubic4", "3f8b4b34a1e2fd4466c5c3c5c2fd8ea7f0cc0d20d779a401093530c433de2995"),
+        ("cubic8", "c3641cbb2fae6181f75055996ee49847be3b60d71eb8dc6fe59230167e3daa32"),
+        ("triangular", "fbd7c1ad94ab9c3dff126b4f9ee70f326c6c487c64559818323c296976db30df"),
+        ("honeycomb", "b860f7146d588a8de3c901167ae7a84c0fb4e3213cbf21d3f6f9d599090e9a11"),
+        ("diamond", "5f12009014cb7fd367d4002e503c262c715c60566263f19826a67f7af654d9f8"),
+    ])
+    def test_preset_text_is_frozen(self, preset, digest):
+        # a golden digest: a preset's text, and so its lattice_hash, never drifts
+        text = lattice_to_text(*build_preset(preset))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_hash_stable_and_distinct(self):
         lat, real = build_preset("cubic2")
