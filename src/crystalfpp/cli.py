@@ -146,12 +146,15 @@ def _parse_int_vector(spec, what: str) -> tuple[int, ...]:
     raise ConfigError(f"{what} must be 'a,b' or a list of whole numbers, got {spec!r}")
 
 
-def _parse_kernel(spec) -> list[tuple[int, ...]]:
+def _kernel(config: dict, dim: int) -> KernelSublattice:
+    spec = config.get("kernel")
+    if spec is None:
+        raise ConfigError(f"{config['experiment']} needs a kernel")
     columns = spec.split(";") if isinstance(spec, str) else spec
     if not isinstance(columns, list):
         raise ConfigError(f"kernel must be 'a,b;c,d' or a list of columns, got {spec!r}")
-    return [_parse_int_vector(col, "a kernel column") for col in columns
-            if not isinstance(col, str) or col.strip()]
+    return KernelSublattice.of([_parse_int_vector(col, "a kernel column") for col in columns
+                                if not isinstance(col, str) or col.strip()], dim)
 
 
 # Fraction expands a decimal exponent into an exact integer of that many digits,
@@ -184,13 +187,13 @@ def _parse_fraction_vector(spec) -> tuple[Fraction, ...]:
 def _parse_float_list(spec) -> list[float]:
     """A grid: 'a,b,...' or a list of numbers, and at least one of them."""
     grid = None
-    if isinstance(spec, str):
-        grid = [float(x) for x in spec.split(",") if x.strip()]
-    elif isinstance(spec, list) and all(_has_json_type(x, "number") for x in spec):
-        try:
+    try:
+        if isinstance(spec, str):
+            grid = [float(x) for x in spec.split(",") if x.strip()]
+        elif isinstance(spec, list) and all(_has_json_type(x, "number") for x in spec):
             grid = [float(x) for x in spec]
-        except OverflowError:
-            pass
+    except (ValueError, OverflowError):
+        pass
     if not grid:
         raise ConfigError(f"grid must be 'a,b,...' or a non-empty list of numbers,"
                           f" got {spec!r}")
@@ -202,6 +205,8 @@ def _parse_directions(config: dict) -> list[tuple[Fraction, ...]]:
                                         if config.get("direction") else [])
     if not isinstance(dirs, list):
         raise ConfigError(f"directions must be a list, got {dirs!r}")
+    if not dirs:
+        raise ConfigError(f"{config['experiment']} needs direction or directions")
     return [_parse_fraction_vector(d) for d in dirs]
 
 
@@ -238,10 +243,7 @@ def _resolve_distribution(config: dict) -> TimeDistribution:
 
 
 def _threads(config: dict) -> int:
-    t = config.get("threads")
-    if t is None:
-        t = os.cpu_count() or 1
-    return int(t)
+    return int(config.get("threads") or os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +367,7 @@ def _windows_csv(estimates) -> str:
     return out.getvalue()
 
 
-def _run_lattice(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_lattice(config: dict, lat, real) -> ExperimentResult:
     radius = int(config["radius"])
     window = instantiate_window(lat, real, radius)
     conn = edge_connectivity_estimate(lat, real)
@@ -389,11 +390,8 @@ def _run_lattice(config: dict) -> ExperimentResult:
                             {"lattice.txt": lattice_to_text(lat, real)})
 
 
-def _run_quotient(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
-    if config.get("kernel") is None:
-        raise ConfigError("quotient needs a kernel")
-    kernel = KernelSublattice.of(_parse_kernel(config["kernel"]), lat.dim)
+def _run_quotient(config: dict, lat, real) -> ExperimentResult:
+    kernel = _kernel(config, lat.dim)
     qdata = build_quotient(lat, real, kernel)
     tol = float(config["tolerance"])
     report = verify_diagram(qdata, radius=int(config["radius"]), tol=tol)
@@ -415,12 +413,9 @@ def _run_quotient(config: dict) -> ExperimentResult:
     return ExperimentResult(0 if report.passed else 2, summary, header, rows, files)
 
 
-def _run_mu(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_mu(config: dict, lat, real) -> ExperimentResult:
     dist = _resolve_distribution(config)
     dirs = _parse_directions(config)
-    if not dirs:
-        raise ConfigError("mu needs direction or directions")
     summary = _provenance(config, lat, real, dist)
     header = ["direction", "replica", "normalized_time"]
     rows: list[list] = []
@@ -449,8 +444,7 @@ def _run_mu(config: dict) -> ExperimentResult:
                                                        "windows.csv": _windows_csv(windows)})
 
 
-def _run_shape(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_shape(config: dict, lat, real) -> ExperimentResult:
     dist = _resolve_distribution(config)
     shape = estimate_shape(
         lat, real, dist, int(config["n_dirs"]), int(config["k_max"]),
@@ -466,32 +460,22 @@ def _run_shape(config: dict) -> ExperimentResult:
         f"boundary_flags=0",
         f"unbounded={shape.unbounded}",
     ]
-    for j, z in enumerate(shape.directions):
-        tag = ",".join(str(c) for c in z)
-        summary.append(f"mu[{tag}]={float(shape.mu[j])!r} se={float(shape.std_errors[j])!r}")
     header = ["dir_index", "direction", "replica", "normalized_time"]
     rows = []
     for j, z in enumerate(shape.directions):
         tag = ",".join(str(c) for c in z)
-        for i in range(shape.replicas):
-            rows.append([j, tag, i, repr(float(shape.samples[i, j]))])
+        summary.append(f"mu[{tag}]={float(shape.mu[j])!r} se={float(shape.std_errors[j])!r}")
+        rows += [[j, tag, i, repr(float(shape.samples[i, j]))] for i in range(shape.replicas)]
     files = {"windows.csv": _windows_csv([("shape", shape.replica_radii)])}
     if lat.dim == 2:
         files["shape.svg"] = render_shape_svg(shape)
     return ExperimentResult(0, summary, header, rows, files)
 
 
-def _run_monotonicity(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_monotonicity(config: dict, lat, real) -> ExperimentResult:
     dist = _resolve_distribution(config)
-    if config.get("kernel") is None:
-        raise ConfigError("monotonicity needs a kernel")
-    kernel = KernelSublattice.of(_parse_kernel(config["kernel"]), lat.dim)
-    dirs = _parse_directions(config)
-    if not dirs:
-        raise ConfigError("monotonicity needs direction(s) on the quotient")
     report = monotonicity_experiment(
-        lat, real, kernel, dist, dirs,
+        lat, real, _kernel(config, lat.dim), dist, _parse_directions(config),
         int(config["k_max"]), int(config["replicas"]), int(config["base_seed"]),
         slack_z=float(config["slack_std_errors"]), workers=_threads(config))
     summary = _provenance(config, lat, real, dist)
@@ -515,12 +499,9 @@ def _run_monotonicity(config: dict) -> ExperimentResult:
                             {"windows.csv": _windows_csv(windows)})
 
 
-def _run_lift_check(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_lift_check(config: dict, lat, real) -> ExperimentResult:
     dist = _resolve_distribution(config)
-    if config.get("kernel") is None:
-        raise ConfigError("lift-check needs a kernel")
-    kernel = KernelSublattice.of(_parse_kernel(config["kernel"]), lat.dim)
+    kernel = _kernel(config, lat.dim)
     if config.get("target_index") is None:
         raise ConfigError("lift-check needs target_index (quotient translation)")
     target = _parse_int_vector(config["target_index"], "target_index")
@@ -549,8 +530,7 @@ def _run_lift_check(config: dict) -> ExperimentResult:
     return ExperimentResult(0 if report.all_passed else 2, summary, header, rows)
 
 
-def _run_positivity(config: dict) -> ExperimentResult:
-    lat, real = _resolve_lattice(config)
+def _run_positivity(config: dict, lat, real) -> ExperimentResult:
     if config.get("direction") is None:
         raise ConfigError("positivity needs a direction")
     p_grid = _parse_float_list(config["p_grid"] if "p_grid" in config
@@ -571,21 +551,22 @@ def _run_positivity(config: dict) -> ExperimentResult:
     return ExperimentResult(0 if report.nonincreasing_ok else 2, summary, header, rows)
 
 
-def _run_render(config: dict) -> ExperimentResult:
+def _run_render(config: dict, lat, real) -> ExperimentResult:
     path = config.get("input_csv")
     if not path:
         raise ConfigError("render needs input_csv (a shape detail file)")
-    lat, real = _resolve_lattice(config)
     by_dir: dict[int, dict] = {}
     reader = csv.reader(io.StringIO(_read_input(path)))
     for row in reader:
         if not row or row[0] == "dir_index":
             continue
-        if len(row) < 4:
-            raise ConfigError(f"{path}: line {reader.line_num}: a shape row needs 4 fields,"
-                              f" got {len(row)}")
         where = f"{path}: line {reader.line_num}"
-        j = int(row[0])
+        if len(row) < 4:
+            raise ConfigError(f"{where}: a shape row needs 4 fields, got {len(row)}")
+        try:
+            j = int(row[0])
+        except ValueError:
+            raise ConfigError(f"{where}: dir_index {row[0]!r} must be an integer") from None
         if j not in by_dir:
             by_dir[j] = {"direction": _csv_direction(row[1], lat.dim, where), "values": []}
         by_dir[j]["values"].append(_csv_time(row[3], where))
@@ -641,14 +622,15 @@ def run_experiment(config: dict) -> ExperimentResult:
     """Execute the configured experiment; raises on invalid configuration.
 
     The config meets the same schema checks as load_config, and a key it
-    leaves out takes its schema default.
+    leaves out takes its schema default.  The lattice is resolved here, once,
+    and every runner takes it as (config, lattice, realization).
     """
     config = {**_schema_defaults(), **_checked(config)}
     name = config.get("experiment")
     runner = _RUNNERS.get(name)
     if runner is None:
         raise ConfigError(f"unknown experiment {name!r}")
-    return runner(config)
+    return runner(config, *_resolve_lattice(config))
 
 
 def write_artifacts(result: ExperimentResult, out_dir: str, started: float) -> None:

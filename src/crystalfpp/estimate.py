@@ -183,6 +183,15 @@ def _mean_se(values: Sequence[float]) -> tuple[float, float]:
     return m, math.sqrt(var / n)
 
 
+# the least verdict slack, the absolute tolerance of runs whose standard errors are 0
+SLACK_FLOOR = 1e-9
+
+
+def _slack(z: float, *std_errors: float) -> float:
+    """z pooled standard errors, and at least SLACK_FLOOR."""
+    return max(z * math.sqrt(fsum(s ** 2 for s in std_errors)), SLACK_FLOOR)
+
+
 MARGIN = 1            # outer layers the restricted search forbids: the boundary flag
 SLACK_LAYERS = 3      # first-window room past the farthest target, for bending routes
 FIBER_HALO = 6        # cover-side room: the fiber spreads around the affine foot
@@ -489,10 +498,6 @@ class NormPropertyReport:
         return all(c.passed for c in self.checks)
 
 
-# norm_property_report's least slack, the absolute tolerance of deterministic runs
-NORM_SLACK_FLOOR = 1e-9
-
-
 def norm_property_report(estimates: Iterable[TimeConstantEstimate],
                          tol_in_std_errors: float = 3.0) -> NormPropertyReport:
     """Check subadditivity, rational homogeneity, and symmetry on estimates.
@@ -500,7 +505,7 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
     Every pair (x, y) with x+y also estimated is checked for subadditivity;
     every collinear pair for homogeneity; antipodal pairs for symmetry.
     Slack is tol_in_std_errors pooled standard errors, floored at
-    NORM_SLACK_FLOOR so deterministic runs compare at absolute tolerance.
+    SLACK_FLOOR so deterministic runs compare at absolute tolerance.
     """
     ests = list(estimates)
     if not ests:
@@ -512,9 +517,6 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
     for e in ests:
         by_dir[e.direction] = e
 
-    def pooled(*es: TimeConstantEstimate) -> float:
-        return math.sqrt(fsum(e.std_error ** 2 for e in es))
-
     checks: list[NormCheck] = []
     dirs = list(by_dir)
     for i, x in enumerate(dirs):
@@ -522,7 +524,7 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
             s = tuple(a + b for a, b in zip(x, y))
             if s in by_dir:
                 ex, ey, es_ = by_dir[x], by_dir[y], by_dir[s]
-                slack = max(tol_in_std_errors * pooled(ex, ey, es_), NORM_SLACK_FLOOR)
+                slack = _slack(tol_in_std_errors, ex.std_error, ey.std_error, es_.std_error)
                 checks.append(NormCheck(
                     "subadditivity", f"{s} vs {x} + {y}",
                     es_.point_estimate, ex.point_estimate + ey.point_estimate, slack))
@@ -536,8 +538,7 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
             c = ratios.pop()
             ex, ey = by_dir[x], by_dir[y]
             scale = abs(float(c))
-            slack = max(tol_in_std_errors * math.sqrt(
-                ey.std_error ** 2 + (scale * ex.std_error) ** 2), NORM_SLACK_FLOOR)
+            slack = _slack(tol_in_std_errors, ey.std_error, scale * ex.std_error)
             kind = "symmetry" if c == -1 else "homogeneity"
             diff = abs(ey.point_estimate - scale * ex.point_estimate)
             checks.append(NormCheck(kind, f"{y} vs {c} * {x}", diff, 0.0, slack))
@@ -617,7 +618,7 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
         norm = k_max * n_scale
         vals = [fiber_min / norm for fiber_min, in results]
         mu_a, se_a = _mean_se(vals)
-        slack = max(slack_z * math.sqrt(se_a ** 2 + est1.std_error ** 2), 1e-9)
+        slack = _slack(slack_z, se_a, est1.std_error)
         entries.append(MonotonicityEntry(
             direction=coords, mu_quotient=est1.point_estimate,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,
@@ -841,8 +842,8 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
         rhs_hat = sum(fiber_min >= t for fiber_min in fiber_mins) / replicas
         se_l = math.sqrt(lhs_hat * (1 - lhs_hat) / replicas)
         se_r = math.sqrt(rhs_hat * (1 - rhs_hat) / replicas)
-        slack = slack_z * math.sqrt(se_l ** 2 + se_r ** 2)
-        rows.append(LiftRow(float(t), lhs_hat, rhs_hat, se_l, se_r, None, None, slack))
+        rows.append(LiftRow(float(t), lhs_hat, rhs_hat, se_l, se_r, None, None,
+                            _slack(slack_z, se_l, se_r)))
     return LiftReport("monte_carlo", tuple(rows), len(fiber_idx), 0)
 
 
@@ -881,12 +882,9 @@ def positivity_scan(lattice: CrystalLattice, realization: Realization,
         est = estimate_time_constant(
             lattice, realization, TimeDistribution.bernoulli(p), direction,
             k_max, replicas, base_seed, seed_role=idx, workers=workers)
-        zero = est.point_estimate <= slack_z * est.std_error + 1e-12
+        zero = est.point_estimate <= _slack(slack_z, est.std_error)
         rows.append(PositivityRow(float(p), est.point_estimate, est.std_error, zero))
-    ok = True
-    for a, b in zip(rows, rows[1:]):
-        slack = slack_z * math.sqrt(a.std_error ** 2 + b.std_error ** 2) + 1e-9
-        if b.mu > a.mu + slack:
-            ok = False
+    ok = all(b.mu <= a.mu + _slack(slack_z, a.std_error, b.std_error)
+             for a, b in zip(rows, rows[1:]))
     return PositivityReport(tuple(rows), ok, tuple(r.p for r in rows if r.zero_flag),
                             rational_direction(direction)[0])

@@ -304,74 +304,47 @@ def closest_vertex(point: Sequence[float], window: Window) -> Vertex:
 # presets
 
 
-def build_cubic(d: int) -> tuple[CrystalLattice, Realization]:
-    if d < 1:
-        raise LatticeError("cubic lattice needs dimension >= 1")
-    base = graph_from_edges(1, [(0, 0)] * d)
-    voltage = {}
-    for i in range(d):
-        vec = tuple(1 if j == i else 0 for j in range(d))
-        voltage[2 * i] = vec
-        voltage[2 * i + 1] = tuple(-c for c in vec)
-    lat = CrystalLattice(base, d, voltage)
-    eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
-    return lat, Realization({0: (0.0,) * d}, eye)
-
-
-def build_triangular() -> tuple[CrystalLattice, Realization]:
-    base = graph_from_edges(1, [(0, 0), (0, 0), (0, 0)])
-    vecs = [(1, 0), (0, 1), (1, 1)]
-    voltage = {}
-    for i, vec in enumerate(vecs):
-        voltage[2 * i] = vec
-        voltage[2 * i + 1] = tuple(-c for c in vec)
-    lat = CrystalLattice(base, 2, voltage)
-    s3 = math.sqrt(3.0)
-    period = ((1.0, -0.5), (0.0, s3 / 2.0))  # columns: (1,0) and (-1/2, sqrt3/2)
-    return lat, Realization({0: (0.0, 0.0)}, period)
-
-
-def build_honeycomb() -> tuple[CrystalLattice, Realization]:
-    base = graph_from_edges(2, [(0, 1), (0, 1), (0, 1)])
-    vecs = [(0, 0), (-1, 0), (0, -1)]
-    voltage = {}
-    for i, vec in enumerate(vecs):
-        voltage[2 * i] = vec
-        voltage[2 * i + 1] = tuple(-c for c in vec)
-    lat = CrystalLattice(base, 2, voltage)
-    s3 = math.sqrt(3.0)
-    period = ((1.5, 1.5), (s3 / 2.0, -s3 / 2.0))  # columns at +-30 degrees
-    return lat, Realization({0: (0.0, 0.0), 1: (1.0, 0.0)}, period)
-
-
-def build_diamond() -> tuple[CrystalLattice, Realization]:
-    base = graph_from_edges(2, [(0, 1)] * 4)
-    vecs = [(0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    voltage = {}
-    for i, vec in enumerate(vecs):
-        voltage[2 * i] = vec
-        voltage[2 * i + 1] = tuple(-c for c in vec)
-    lat = CrystalLattice(base, 3, voltage)
-    period = ((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0))  # fcc columns
-    return lat, Realization({0: (0.0, 0.0, 0.0), 1: (1.0, 1.0, 1.0)}, period)
+# name: (base vertex count, base edges, edge voltages, positions, period rows);
+# cubic<d> is generated in build_preset
+_S3 = math.sqrt(3.0)
+PRESETS = {
+    "triangular": (1, [(0, 0)] * 3, [(1, 0), (0, 1), (1, 1)], [(0.0, 0.0)],
+                   ((1.0, -0.5), (0.0, _S3 / 2.0))),  # columns: (1,0) and (-1/2, sqrt3/2)
+    "honeycomb": (2, [(0, 1)] * 3, [(0, 0), (-1, 0), (0, -1)], [(0.0, 0.0), (1.0, 0.0)],
+                  ((1.5, 1.5), (_S3 / 2.0, -_S3 / 2.0))),  # columns at +-30 degrees
+    "diamond": (2, [(0, 1)] * 4, [(0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+                [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+                ((0.0, 2.0, 2.0), (2.0, 0.0, 2.0), (2.0, 2.0, 0.0))),  # fcc columns
+}
 
 
 def build_preset(name: str) -> tuple[CrystalLattice, Realization]:
-    """Named lattice: cubic<d> (e.g. cubic2), triangular, honeycomb, diamond."""
+    """Named lattice: cubic<d> (e.g. cubic2), triangular, honeycomb, diamond.
+
+    Edge i of the base graph gives half-edges 2i, with the edge's voltage,
+    and 2i + 1, with its negative (graph_from_edges' numbering).
+    """
     key = name.strip().lower().replace("(", "").replace(")", "").replace(":", "")
     if key.startswith("cubic"):
         suffix = key[len("cubic"):]
         if not suffix.isdigit():
             raise LatticeError(f"cubic preset needs a dimension, e.g. cubic2: got {name!r}")
-        return build_cubic(int(suffix))
-    builders = {
-        "triangular": build_triangular,
-        "honeycomb": build_honeycomb,
-        "diamond": build_diamond,
-    }
-    if key not in builders:
+        d = int(suffix)
+        if d < 1:
+            raise LatticeError("cubic lattice needs dimension >= 1")
+        eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        parts = (1, [(0, 0)] * d, eye, [(0.0,) * d], eye)
+    elif key in PRESETS:
+        parts = PRESETS[key]
+    else:
         raise LatticeError(f"unknown preset {name!r}")
-    return builders[key]()
+    n_vertices, edges, voltages, positions, period = parts
+    voltage = {}
+    for i, vec in enumerate(voltages):
+        voltage[2 * i] = vec
+        voltage[2 * i + 1] = tuple(-c for c in vec)
+    lat = CrystalLattice(graph_from_edges(n_vertices, edges), len(period), voltage)
+    return lat, Realization(dict(enumerate(positions)), period)
 
 
 def build_custom(base: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
@@ -508,7 +481,8 @@ def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
 
     Blank lines and lines starting with '#' are skipped.  The records come in
     the written order, except that position and period records may mix, and
-    every halfedge record carries exactly dim voltage entries.
+    every halfedge record carries exactly dim voltage entries.  A field that
+    is not a number is an error naming its record.
     """
     lines = [s.strip() for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
     if not lines or lines[0] != FORMAT_HEADER:
@@ -522,27 +496,31 @@ def lattice_from_text(text: str) -> tuple[CrystalLattice, Realization]:
                                f" got {' '.join(tok)!r}")
         return tok
 
-    tok = record("dim")
-    try:
-        dim = int(tok[1])
-    except ValueError:
-        raise LatticeError(f"dim record needs an integer, got {tok[1]!r}") from None
-    vertices = [int(record("vertex")[1]) for _ in range(int(record("vertices")[1]))]
+    def number(tok: list[str], i: int, kind: type = int):
+        try:
+            return kind(tok[i])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise LatticeError(f"field {i} of record {' '.join(tok)!r} must be {what},"
+                               f" got {tok[i]!r}") from None
+
+    dim = number(record("dim"), 1)
+    vertices = [number(record("vertex"), 1) for _ in range(number(record("vertices"), 1))]
     half_edges, voltage = [], {}
-    for _ in range(int(record("halfedges")[1])):
+    for _ in range(number(record("halfedges"), 1)):
         tok = record("halfedge", 5)
-        eid, origin, terminus, inverse = (int(x) for x in tok[1:5])
-        if len(tok) != 5 + dim:
-            raise LatticeError(f"half-edge {eid} needs {dim} voltage entries, got {len(tok) - 5}")
+        eid, origin, terminus, inverse, *vec = (number(tok, i) for i in range(1, len(tok)))
+        if len(vec) != dim:
+            raise LatticeError(f"half-edge {eid} needs {dim} voltage entries, got {len(vec)}")
         half_edges.append(HalfEdge(eid, origin, terminus, inverse))
-        voltage[eid] = tuple(int(x) for x in tok[5:])
+        voltage[eid] = tuple(vec)
     positions: dict[int, tuple[float, ...]] = {}
     period_rows: list[tuple[float, ...]] = []
     for tok in records:
         if tok[0] == "position" and len(tok) > 1:
-            positions[int(tok[1])] = tuple(float(x) for x in tok[2:])
+            positions[number(tok, 1)] = tuple(number(tok, i, float) for i in range(2, len(tok)))
         elif tok[0] == "period":
-            period_rows.append(tuple(float(x) for x in tok[1:]))
+            period_rows.append(tuple(number(tok, i, float) for i in range(1, len(tok))))
         else:
             raise LatticeError(f"unexpected record {' '.join(tok)!r}")
     if len(period_rows) != dim:

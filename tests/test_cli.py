@@ -289,6 +289,11 @@ class TestExitCodes:
         (["lattice", "--lattice-file", "{tmp}/lat.txt"], {"lat.txt": HONEYCOMB_DEGENERATE}),
         (["lattice", "--lattice-file", "{tmp}/lat.txt"],
          {"lat.txt": "crystal-lattice 1\ndim 1\nvertices 0\nhalfedges 0\nperiod 1.0\n"}),
+        (["positivity", "--preset", "cubic2", "--direction", "1,0", "--p-grid", "0.5,abc"], {}),
+        (["lift-check", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "bernoulli:0.5",
+          "--target-index", "1", "--t-grid", "0,x"], {}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": 'dir_index,direction,replica,normalized_time\nx,"1,0",0,1.0\n'}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -305,8 +310,9 @@ class TestExitCodes:
             "t-grid-boolean", "dist-boolean-param", "dist-string-param", "p-grid-empty",
             "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative",
             "threads-huge", "seed-negative", "degenerate-lattice-file",
-            "lattice-without-vertices"])
-    def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, argv, files):
+            "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index"])
+    def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, request,
+                                                         argv, files):
         for name, content in files.items():
             if name.endswith(".json"):
                 content = json.dumps({"preset": "cubic2", "direction": "1,0",
@@ -319,7 +325,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert self.NAMED_SOURCE.get(request.node.callspec.id, "") in captured.err
         assert not out.exists()
+
+    # cases whose error line must name the input at fault, not only quote a value
+    NAMED_SOURCE = {"p-grid-word": "grid must be", "t-grid-word": "grid must be",
+                    "render-word-dir-index": "s.csv: line 2: dir_index 'x'"}
 
     @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
     def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):

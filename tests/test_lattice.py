@@ -406,3 +406,20 @@ class TestSerialization:
     def test_truncated_or_malformed_dim_rejected(self, text):
         with pytest.raises(LatticeError, match="dim"):
             lattice_from_text(text)
+
+    @pytest.mark.parametrize("line,bad", [
+        ("vertex 1", "vertex x"),
+        ("vertices 2", "vertices two"),
+        ("halfedges 6", "halfedges six"),
+        ("halfedge 2 0 1 3 -1 0", "halfedge e2 0 1 3 -1 0"),
+        ("halfedge 2 0 1 3 -1 0", "halfedge 2 0 1 3 z 0"),
+        ("position 1 1.0 0.0", "position 1 1.0 zero"),
+        ("period 1.5 1.5", "period 1.5 1,5"),
+    ], ids=["vertex", "vertices", "halfedges", "halfedge-id", "halfedge-voltage",
+            "position", "period"])
+    def test_malformed_number_names_its_record(self, line, bad):
+        text = lattice_to_text(*build_preset("honeycomb"))
+        assert line in text
+        with pytest.raises(LatticeError) as err:
+            lattice_from_text(text.replace(line, bad, 1))
+        assert repr(bad) in str(err.value)

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalfpp.cli import (
+    _kernel,
     _parse_directions,
     _parse_float_list,
     _parse_int_vector,
-    _parse_kernel,
     _resolve_distribution,
     config_schema,
     load_config,
@@ -112,10 +112,10 @@ CONFIGS = st.dictionaries(st.sampled_from(sorted(PROPERTIES) + ["bogus"]), JSON_
 
 
 UNTYPED_PARSERS = {
-    "kernel": _parse_kernel,
+    "kernel": lambda v: _kernel({"experiment": "quotient", "kernel": v}, 2),
     "distribution": lambda v: _resolve_distribution({"distribution": v}),
-    "direction": lambda v: _parse_directions({"direction": v}),
-    "directions": lambda v: _parse_directions({"directions": v}),
+    "direction": lambda v: _parse_directions({"experiment": "mu", "direction": v}),
+    "directions": lambda v: _parse_directions({"experiment": "mu", "directions": v}),
     "t_grid": _parse_float_list,
     "p_grid": _parse_float_list,
     "target_index": lambda v: _parse_int_vector(v, "target_index"),
