@@ -356,15 +356,18 @@ def _provenance(config: dict, lattice=None, realization=None,
     return lines
 
 
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def _windows_csv(estimates) -> str:
     """windows.csv: how many replicas of each (name, replica radii) estimate
     took their values on each window radius."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["estimate", "radius", "replicas"])
-    for name, radii in estimates:
-        writer.writerows([name, r, n] for r, n in sorted(Counter(radii).items()))
-    return out.getvalue()
+    return _csv_text([["estimate", "radius", "replicas"]]
+                     + [[name, r, n] for name, radii in estimates
+                        for r, n in sorted(Counter(radii).items())])
 
 
 def _run_lattice(config: dict, lat, real) -> ExperimentResult:
@@ -417,16 +420,10 @@ def _run_mu(config: dict, lat, real) -> ExperimentResult:
     dist = _resolve_distribution(config)
     dirs = _parse_directions(config)
     summary = _provenance(config, lat, real, dist)
-    header = ["direction", "replica", "normalized_time"]
-    rows: list[list] = []
-    trace = io.StringIO()
-    trace_writer = csv.writer(trace)
-    trace_writer.writerow(["direction", "k", "mean_normalized_time"])
-    windows = []
-    ests = [estimate_time_constant(lat, real, dist, vec, int(config["k_max"]),
-                                   int(config["replicas"]), int(config["base_seed"]),
-                                   workers=_threads(config)) for vec in dirs]
-    conn = edge_connectivity_estimate(lat, real).value
+    rows, trace, windows = [], [], []
+    ests = estimate_time_constant(lat, real, dist, dirs, int(config["k_max"]),
+                                  int(config["replicas"]), int(config["base_seed"]),
+                                  workers=_threads(config))
     for vec, est in zip(dirs, ests):
         tag = ",".join(str(c) for c in vec)
         summary += [
@@ -435,13 +432,14 @@ def _run_mu(config: dict, lat, real) -> ExperimentResult:
             f"radius_used[{tag}]={est.radius_used}",
             f"enlargements[{tag}]={est.enlargements}",
             f"boundary_flags[{tag}]=0",
-            f"edge_connectivity={conn}",
         ]
         rows += [[tag, i, repr(v)] for i, v in enumerate(est.samples)]
-        trace_writer.writerows([tag, k, repr(v)] for k, v in enumerate(est.trace, 1))
+        trace += [[tag, k, repr(v)] for k, v in enumerate(est.trace, 1)]
         windows.append((f"mu[{tag}]", est.replica_radii))
-    return ExperimentResult(0, summary, header, rows, {"trace.csv": trace.getvalue(),
-                                                       "windows.csv": _windows_csv(windows)})
+    summary.append(f"edge_connectivity={edge_connectivity_estimate(lat, real).value}")
+    return ExperimentResult(0, summary, ["direction", "replica", "normalized_time"], rows, {
+        "trace.csv": _csv_text([["direction", "k", "mean_normalized_time"]] + trace),
+        "windows.csv": _windows_csv(windows)})
 
 
 def _run_shape(config: dict, lat, real) -> ExperimentResult:
@@ -555,7 +553,9 @@ def _run_render(config: dict, lat, real) -> ExperimentResult:
     path = config.get("input_csv")
     if not path:
         raise ConfigError("render needs input_csv (a shape detail file)")
-    by_dir: dict[int, dict] = {}
+    direction_of: dict[int, tuple[int, ...]] = {}
+    index_of: dict[tuple[int, ...], int] = {}
+    values: dict[int, list[float]] = {}
     reader = csv.reader(io.StringIO(_read_input(path)))
     for row in reader:
         if not row or row[0] == "dir_index":
@@ -567,15 +567,21 @@ def _run_render(config: dict, lat, real) -> ExperimentResult:
             j = int(row[0])
         except ValueError:
             raise ConfigError(f"{where}: dir_index {row[0]!r} must be an integer") from None
-        if j not in by_dir:
-            by_dir[j] = {"direction": _csv_direction(row[1], lat.dim, where), "values": []}
-        by_dir[j]["values"].append(_csv_time(row[3], where))
-    if not by_dir:
+        z = _csv_direction(row[1], lat.dim, where)
+        if direction_of.setdefault(j, z) != z:
+            raise ConfigError(f"{where}: dir_index {j} already has direction"
+                              f" {','.join(map(str, direction_of[j]))!r}, got {row[1]!r}")
+        if index_of.setdefault(z, j) != j:
+            raise ConfigError(f"{where}: direction {row[1]!r} already has dir_index"
+                              f" {index_of[z]}, got {j}")
+        values.setdefault(j, []).append(_csv_time(row[3], where))
+    if not values:
         raise ConfigError(f"{path}: no shape rows found")
-    dirs = [by_dir[j]["direction"] for j in sorted(by_dir)]
-    if len({len(entry["values"]) for entry in by_dir.values()}) != 1:
+    order = sorted(values)
+    if len({len(values[j]) for j in order}) != 1:
         raise ConfigError(f"{path}: directions have different replica counts")
-    samples = np.array([by_dir[j]["values"] for j in sorted(by_dir)]).T
+    dirs = [direction_of[j] for j in order]
+    samples = np.array([values[j] for j in order]).T
     shape = ShapeEstimate.from_samples(
         real, dirs, samples, float(config["zero_threshold"]), k_max=0, replicas=0,
         radius_used=0)
@@ -641,13 +647,11 @@ def write_artifacts(result: ExperimentResult, out_dir: str, started: float) -> N
     summary.append(f"# timing: {stamp} wall={wall:.3f}s")
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
+    files = dict(result.extra_files)
     if result.csv_header is not None:
-        with open(os.path.join(out_dir, "detail.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(result.csv_header)
-            writer.writerows(result.csv_rows)
-    for name, content in result.extra_files.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
+        files["detail.csv"] = _csv_text([result.csv_header] + result.csv_rows)
+    for name, content in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
             fh.write(content)
 
 

@@ -8,14 +8,11 @@ the limit slightly; the per-k trace is kept so the bias is visible.  Replica
 streams come from the documented (base_seed, replica, role) splitting rule, so
 serial and parallel runs produce identical output.
 
-Each replica asks fpp.passage_times for its target groups only (one vertex
-per target for mu and shapes, the whole fiber on the cover side), and for one
-flag over the watched groups: a group is flagged when its least time changes
-once the margin is forbidden.  Every replica runs on the first window; only
-the flagged ones rerun on the enlarged window, and so on.  A replica keeps its
-edge times when its window grows (see fpp.sample_configuration), so its value,
-the time at the first radius where it is unflagged, depends on its own stream
-alone and the replicas stay i.i.d.
+Each estimator solves all its directions in one batch of replicas per side
+(_unflagged_replicas): one search per replica reaches every direction's target
+groups, and only the replicas flagged at the window boundary rerun, for every
+direction, on an enlarged window.  A replica keeps its edge times when its
+window grows (see fpp.sample_configuration), so the replicas stay i.i.d.
 """
 from __future__ import annotations
 
@@ -23,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, combinations, permutations, product
 from math import fsum
 from typing import Iterable, Sequence
 
@@ -207,26 +205,27 @@ def _replica_times(ctx, i):
 
 
 def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
-                        distribution: TimeDistribution, reach: int, targets, watched,
+                        distribution: TimeDistribution, reach: int, targets,
                         replicas: int, base_seed: int, seed_role: int, workers: int):
-    """Replica times at the groups of vertex indices targets(window), each
-    taken on the first window where the replica is unflagged.
+    """Every direction's group times per replica, each replica's taken on the
+    first window where it is unflagged.
 
-    A group's time is the least time of its members, and a replica is flagged
-    when a group at a position in watched is (see fpp.passage_times).  The
-    first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach
-    bounds the targets' translation coordinates.  Every pending replica runs
-    on the window and the unflagged ones keep their times; the flagged ones
-    rerun on the window with R grown by max(2, R // 2), at most
+    targets(window) gives each direction's groups of vertex indices; a group's
+    time is the least time of its members.  One search per replica serves all
+    the groups, and the replica is flagged when the last group of any
+    direction is (see fpp.passage_times).  The first window is [-R, R]^d,
+    R = reach + MARGIN + SLACK_LAYERS, where reach bounds the targets'
+    translation coordinates.  Every pending replica runs on the window and
+    the unflagged ones keep their times; the flagged ones rerun, for every
+    direction, on the window with R grown by max(2, R // 2), at most
     MAX_ENLARGEMENTS times.  A replica's configuration on a window is its
     configuration on any larger window restricted to it, so its kept value is
     a function of its own edge times and the replicas stay i.i.d.; drawing
     the flagged replicas afresh instead would select on the flag.  A batch
-    starts at most one pool worker per POOL_MIN_SHARE replicas, so the usual
-    handful of flagged replicas reruns serially: a pool would save at most one
-    solve and hold a forked copy of the enlarged window per worker.  Returns
-    (per-replica group times, the groups on the last window, its R,
-    enlargements, per-replica R).
+    starts at most one pool worker per POOL_MIN_SHARE replicas, so a handful
+    of flagged replicas reruns serially, without forked window copies.  Returns
+    (per direction, the per-replica group times and the groups on the last
+    window; its R; enlargements; per-replica R).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
     radius = reach + MARGIN + SLACK_LAYERS
@@ -235,10 +234,12 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
     enlargements = 0
     while True:
         window = instantiate_window(lattice, realization, radius)
-        groups = targets(window)
+        per_direction = targets(window)
+        groups = [group for direction in per_direction for group in direction]
         if not all(groups):
             raise EstimatorError("no target vertex inside the window")
-        ctx = (window, distribution, base_seed, seed_role, source, groups, watched)
+        ends = list(accumulate(map(len, per_direction)))
+        ctx = (window, distribution, base_seed, seed_role, source, groups, [e - 1 for e in ends])
         results = _map_replicas(_replica_times, ctx, pending,
                                 min(workers, max(1, len(pending) // POOL_MIN_SHARE)))
         flagged = []
@@ -248,12 +249,14 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
             else:
                 kept[i], radii[i] = times, radius
         if not flagged:
-            return kept, groups, radius, enlargements, radii
+            return ([[times[start:end] for times in kept]
+                     for start, end in zip([0] + ends, ends)],
+                    per_direction, radius, enlargements, radii)
         enlargements += 1
         if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
                 f"boundary flags persisted after {MAX_ENLARGEMENTS} window enlargements")
-        del window, groups, ctx, results  # free this window before the next one is built
+        del window, per_direction, groups, ctx, results  # free it before the next is built
         pending = flagged
         radius += max(2, radius // 2)
 
@@ -304,43 +307,47 @@ class TimeConstantEstimate:
 
 
 def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
-                           distribution: TimeDistribution, direction: Sequence,
+                           distribution: TimeDistribution, directions: Sequence[Sequence],
                            k_max: int, replicas: int, base_seed: int, *,
-                           seed_role: int = 0, workers: int = 1) -> TimeConstantEstimate:
-    """Monte Carlo time constant along a rational direction.
+                           seed_role: int = 0, workers: int = 1) -> list[TimeConstantEstimate]:
+    """Monte Carlo time constants along rational directions, one per direction.
 
-    The window follows the policy of _unflagged_replicas: it starts past the
-    farthest target, and it grows for the boundary-flagged replicas only
-    until none is flagged.
-    Refuses to run when the moment condition for the shape theorem fails,
-    with the analytic witness in the error.
+    One batch of _unflagged_replicas serves them all, so they share
+    radius_used, enlargements and replica_radii.  Refuses to run when the
+    moment condition for the shape theorem fails, with the analytic witness
+    in the error.
     """
     if k_max < 1 or replicas < 1:
         raise ValueError("k_max and replicas must be positive")
-    coords, n_scale, step = rational_direction(direction)
-    if len(coords) != lattice.dim:
-        raise ValueError(f"direction has dimension {len(coords)}, lattice {lattice.dim}")
+    parsed = [rational_direction(direction) for direction in directions]
+    if not parsed:
+        raise ValueError("no directions given")
+    if any(len(coords) != lattice.dim for coords, _, _ in parsed):
+        raise ValueError(f"every direction must have the lattice dimension {lattice.dim}")
     witness = _moment_guard(lattice, realization, distribution)
+    lattice_id = lattice_hash(lattice, realization)
 
     u0 = lattice.base.vertices[0]
-    results, _, radius, enlargements, radii = _unflagged_replicas(
+    per_direction, _, radius, enlargements, radii = _unflagged_replicas(
         lattice, realization, distribution,
-        k_max * max(abs(c) for c in step),
-        lambda w: [[w.vertex_index[u0, tuple(k * c for c in step)]]
-                   for k in range(1, k_max + 1)],
-        [-1], replicas, base_seed, seed_role, workers)
+        k_max * max(abs(c) for _, _, step in parsed for c in step),
+        lambda w: [[[w.vertex_index[u0, tuple(k * c for c in step)]]
+                    for k in range(1, k_max + 1)] for _, _, step in parsed],
+        replicas, base_seed, seed_role, workers)
 
-    norm = k_max * n_scale
-    samples = tuple(per_k[-1] / norm for per_k in results)
-    trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
-                  for k in range(1, k_max + 1))
-    point, se = _mean_se(samples)
-    return TimeConstantEstimate(
-        direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
-        samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
-        replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed,
-        distribution_label=distribution.label(),
-        lattice_id=lattice_hash(lattice, realization), moment_witness=witness)
+    estimates = []
+    for (coords, n_scale, step), results in zip(parsed, per_direction):
+        samples = tuple(per_k[-1] / (k_max * n_scale) for per_k in results)
+        trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
+                      for k in range(1, k_max + 1))
+        point, se = _mean_se(samples)
+        estimates.append(TimeConstantEstimate(
+            direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
+            samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
+            replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed,
+            distribution_label=distribution.label(), lattice_id=lattice_id,
+            moment_witness=witness))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +390,7 @@ class ShapeEstimate:
         rho = realization.period_matrix()
         d = len(rho)
         n = len(directions)
-        mu = np.empty(n)
-        se = np.empty(n)
-        for j in range(n):
-            mu[j], se[j] = _mean_se(samples[:, j].tolist())
+        mu, se = np.array([_mean_se(column.tolist()) for column in samples.T]).T
         lattice_points = np.array([rho @ np.array(z, dtype=float) for z in directions])
         lens = np.linalg.norm(lattice_points, axis=1)
         unbounded = bool(np.all(mu / lens < zero_threshold))
@@ -410,10 +414,8 @@ class ShapeEstimate:
 
 
 def _primitive_box_vectors(dim: int, max_coord: int) -> list[tuple[int, ...]]:
-    import itertools
-
     out = []
-    for z in itertools.product(range(-max_coord, max_coord + 1), repeat=dim):
+    for z in product(range(-max_coord, max_coord + 1), repeat=dim):
         if any(z) and math.gcd(*(abs(c) for c in z)) == 1:
             out.append(z)
     return sorted(out)
@@ -461,12 +463,12 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
         raise EstimatorError("no directions to estimate")
 
     u0 = lattice.base.vertices[0]
-    results, _, radius, _, radii = _unflagged_replicas(
+    per_direction, _, radius, _, radii = _unflagged_replicas(
         lattice, realization, distribution,
         k_max * max(max(abs(c) for c in z) for z in dirs),
-        lambda w: [[w.vertex_index[u0, tuple(k_max * c for c in z)]] for z in dirs],
-        range(len(dirs)), replicas, base_seed, 0, workers)
-    samples = np.array(results) / k_max
+        lambda w: [[[w.vertex_index[u0, tuple(k_max * c for c in z)]]] for z in dirs],
+        replicas, base_seed, 0, workers)
+    samples = np.array([[t for (t,) in results] for results in per_direction]).T / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
         radius_used=radius, replica_radii=tuple(radii))
@@ -513,35 +515,28 @@ def norm_property_report(estimates: Iterable[TimeConstantEstimate],
     ident = {(e.distribution_label, e.lattice_id, e.base_seed) for e in ests}
     if len(ident) != 1:
         raise ValueError("mismatched inputs: estimates differ in lattice/distribution/seed")
-    by_dir: dict[tuple[Fraction, ...], TimeConstantEstimate] = {}
-    for e in ests:
-        by_dir[e.direction] = e
+    by_dir = {e.direction: e for e in ests}
 
     checks: list[NormCheck] = []
-    dirs = list(by_dir)
-    for i, x in enumerate(dirs):
-        for y in dirs[i + 1:]:
-            s = tuple(a + b for a, b in zip(x, y))
-            if s in by_dir:
-                ex, ey, es_ = by_dir[x], by_dir[y], by_dir[s]
-                slack = _slack(tol_in_std_errors, ex.std_error, ey.std_error, es_.std_error)
-                checks.append(NormCheck(
-                    "subadditivity", f"{s} vs {x} + {y}",
-                    es_.point_estimate, ex.point_estimate + ey.point_estimate, slack))
-    for x in dirs:
-        for y in dirs:
-            if x == y:
-                continue
-            ratios = {b / a for a, b in zip(x, y) if a != 0}
-            if len(ratios) != 1 or any(a == 0 and b != 0 for a, b in zip(x, y)):
-                continue
-            c = ratios.pop()
-            ex, ey = by_dir[x], by_dir[y]
-            scale = abs(float(c))
-            slack = _slack(tol_in_std_errors, ey.std_error, scale * ex.std_error)
-            kind = "symmetry" if c == -1 else "homogeneity"
-            diff = abs(ey.point_estimate - scale * ex.point_estimate)
-            checks.append(NormCheck(kind, f"{y} vs {c} * {x}", diff, 0.0, slack))
+    for x, y in combinations(by_dir, 2):
+        s = tuple(a + b for a, b in zip(x, y))
+        if s in by_dir:
+            ex, ey, es_ = by_dir[x], by_dir[y], by_dir[s]
+            slack = _slack(tol_in_std_errors, ex.std_error, ey.std_error, es_.std_error)
+            checks.append(NormCheck(
+                "subadditivity", f"{s} vs {x} + {y}",
+                es_.point_estimate, ex.point_estimate + ey.point_estimate, slack))
+    for x, y in permutations(by_dir, 2):
+        ratios = {b / a for a, b in zip(x, y) if a != 0}
+        if len(ratios) != 1 or any(a == 0 and b != 0 for a, b in zip(x, y)):
+            continue
+        c = ratios.pop()
+        ex, ey = by_dir[x], by_dir[y]
+        scale = abs(float(c))
+        slack = _slack(tol_in_std_errors, ey.std_error, scale * ex.std_error)
+        kind = "symmetry" if c == -1 else "homogeneity"
+        diff = abs(ey.point_estimate - scale * ex.point_estimate)
+        checks.append(NormCheck(kind, f"{y} vs {c} * {x}", diff, 0.0, slack))
     return NormPropertyReport(tuple(checks))
 
 
@@ -588,42 +583,37 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
     For each quotient direction the quotient estimate mu1 and the cover-side
     estimate of the passage time to the preimage affine subspace are computed
     from independent configuration streams; covering monotonicity of limit
-    shapes predicts affine <= quotient within statistical slack.
+    shapes predicts affine <= quotient within statistical slack.  Each side
+    is one batch: every direction's quotient target, or every fiber.
     """
     qdata = build_quotient(lattice, realization, kernel)
     _moment_guard(lattice, realization, distribution)
+    quotient_estimates = estimate_time_constant(
+        qdata.sub_lattice, qdata.sub_realization, distribution, quotient_directions,
+        k_max, replicas, base_seed, seed_role=1, workers=workers)
 
     rho_inv = np.linalg.inv(realization.period_matrix())
+    rho1 = qdata.sub_realization.period_matrix()
     u0 = lattice.base.vertices[0]
+    target1s = [tuple(k_max * c for c in est1.step) for est1 in quotient_estimates]
+    # a window around every Euclidean foot of the preimage affine subspaces
+    feet = [qdata.p_matrix.T @ (rho1 @ np.array(target1, dtype=float)) for target1 in target1s]
+    per_direction, fibers, radius, _, radii = _unflagged_replicas(
+        lattice, realization, distribution,
+        max(int(np.ceil(np.max(np.abs(rho_inv @ foot)))) for foot in feet) + FIBER_HALO,
+        lambda w: [[[w.vertex_index[v] for v in covering_fiber(qdata, (u0, target1), w)]]
+                   for target1 in target1s],
+        replicas, base_seed, 0, workers)
+
     entries = []
-    for direction in quotient_directions:
-        coords, n_scale, step1 = rational_direction(direction)
-        if len(coords) != qdata.dim_quotient:
-            raise ValueError("quotient direction has wrong dimension")
-        est1 = estimate_time_constant(
-            qdata.sub_lattice, qdata.sub_realization, distribution, direction,
-            k_max, replicas, base_seed, seed_role=1, workers=workers)
-
-        target1 = tuple(k_max * c for c in step1)
-        # window around the Euclidean foot of the preimage affine subspace
-        foot = qdata.p_matrix.T @ (qdata.sub_realization.period_matrix()
-                                   @ np.array(target1, dtype=float))
-        z_near = rho_inv @ foot
-        results, (fiber_idx,), radius, _, radii = _unflagged_replicas(
-            lattice, realization, distribution,
-            int(np.ceil(np.max(np.abs(z_near)))) + FIBER_HALO,
-            lambda w: [[w.vertex_index[v] for v in covering_fiber(qdata, (u0, target1), w)]],
-            [0], replicas, base_seed, 0, workers)
-
-        norm = k_max * n_scale
-        vals = [fiber_min / norm for fiber_min, in results]
-        mu_a, se_a = _mean_se(vals)
-        slack = _slack(slack_z, se_a, est1.std_error)
+    for est1, results, (fiber_idx,) in zip(quotient_estimates, per_direction, fibers):
+        mu_a, se_a = _mean_se([fiber_min / (k_max * est1.scale) for fiber_min, in results])
         entries.append(MonotonicityEntry(
-            direction=coords, mu_quotient=est1.point_estimate,
+            direction=est1.direction, mu_quotient=est1.point_estimate,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,
-            slack=slack, fiber_size=len(fiber_idx), radius_cover=radius,
-            replica_radii_quotient=est1.replica_radii, replica_radii_cover=tuple(radii)))
+            slack=_slack(slack_z, se_a, est1.std_error), fiber_size=len(fiber_idx),
+            radius_cover=radius, replica_radii_quotient=est1.replica_radii,
+            replica_radii_cover=tuple(radii)))
     return MonotonicityReport(qdata, tuple(entries), replicas)
 
 
@@ -879,8 +869,8 @@ def positivity_scan(lattice: CrystalLattice, realization: Realization,
     """
     rows = []
     for idx, p in enumerate(p_grid):
-        est = estimate_time_constant(
-            lattice, realization, TimeDistribution.bernoulli(p), direction,
+        est, = estimate_time_constant(
+            lattice, realization, TimeDistribution.bernoulli(p), [direction],
             k_max, replicas, base_seed, seed_role=idx, workers=workers)
         zero = est.point_estimate <= _slack(slack_z, est.std_error)
         rows.append(PositivityRow(float(p), est.point_estimate, est.std_error, zero))

@@ -77,8 +77,8 @@ def test_02_analytic_quotient_time_constant():
     with criterion(2, "line-quotient exponential time constant matches 1.0", 60.0):
         lat, real = build_preset("cubic2")
         q = build_quotient(lat, real, KernelSublattice.of([(1, -1)], 2))
-        est = estimate_time_constant(q.sub_lattice, q.sub_realization, EXP1,
-                                     (2,), 100, 200, 20240817, seed_role=1)
+        est, = estimate_time_constant(q.sub_lattice, q.sub_realization, EXP1,
+                                      [(2,)], 100, 200, 20240817, seed_role=1)
         assert est.replicas == 200 and est.k_max == 100
         assert abs(est.point_estimate - 1.0) <= 3 * est.std_error, (
             est.point_estimate, est.std_error)
@@ -163,7 +163,7 @@ def test_05_norm_properties():
             n = math.lcm(*(c.denominator for c in d))
             step_norm = max(abs(int(c * n)) for c in d)
             k = max(4, round(scale_target / step_norm))
-            ests.append(estimate_time_constant(lat, real, EXP1, d, k, 32, 4242))
+            ests.append(estimate_time_constant(lat, real, EXP1, [d], k, 32, 4242)[0])
         report = norm_property_report(ests, tol_in_std_errors=3.0)
         kinds = {c.kind for c in report.checks}
         assert {"subadditivity", "homogeneity", "symmetry"} <= kinds
@@ -290,9 +290,9 @@ def test_12_moment_gate():
         # edge connectivity 4 that the criterion statement pins
         with pytest.raises(MomentConditionError) as err:
             estimate_time_constant(lat, real, TimeDistribution.pareto(0.4),
-                                   (1, 0), 2, 2, 1)
+                                   [(1, 0)], 2, 2, 1)
         assert "1.6" in str(err.value) and "pareto" in str(err.value)
-        est = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6),
-                                     (1, 0), 2, 2, 1)
+        est, = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6),
+                                      [(1, 0)], 2, 2, 1)
         assert "2.4" in est.moment_witness
         assert est.point_estimate > 0

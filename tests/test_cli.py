@@ -294,6 +294,12 @@ class TestExitCodes:
           "--target-index", "1", "--t-grid", "0,x"], {}),
         (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
          {"s.csv": 'dir_index,direction,replica,normalized_time\nx,"1,0",0,1.0\n'}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": 'dir_index,direction,replica,normalized_time\n0,"1,0",0,1.0\n'
+                   '0,"0,1",1,1.0\n'}),
+        (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
+         {"s.csv": 'dir_index,direction,replica,normalized_time\n0,"1,0",0,1.0\n'
+                   '1,"1,0",0,1.0\n'}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -310,7 +316,8 @@ class TestExitCodes:
             "t-grid-boolean", "dist-boolean-param", "dist-string-param", "p-grid-empty",
             "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative",
             "threads-huge", "seed-negative", "degenerate-lattice-file",
-            "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index"])
+            "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index",
+            "render-index-two-directions", "render-direction-two-indices"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, request,
                                                          argv, files):
         for name, content in files.items():
@@ -330,7 +337,11 @@ class TestExitCodes:
 
     # cases whose error line must name the input at fault, not only quote a value
     NAMED_SOURCE = {"p-grid-word": "grid must be", "t-grid-word": "grid must be",
-                    "render-word-dir-index": "s.csv: line 2: dir_index 'x'"}
+                    "render-word-dir-index": "s.csv: line 2: dir_index 'x'",
+                    "render-index-two-directions":
+                        "s.csv: line 3: dir_index 0 already has direction '1,0'",
+                    "render-direction-two-indices":
+                        "s.csv: line 3: direction '1,0' already has dir_index 0"}
 
     @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
     def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):
@@ -454,7 +465,7 @@ GOLDEN_DIGESTS = {
     "lattice-honeycomb": "ebb4624370329170162174ab0a530173d2d2729e84829796dda94ea659396fd3",
     "lattice-diamond": "0174017ce2a546c833b015e32ac2dfd1ad1717cc23e71cae85c33d15ecf2982a",
     "quotient": "94d665c755090c99d55a0aec498b03c2c3ca85e2cea2062733e2f7c7f89af4fb",
-    "mu-three-directions": "659f07058b95f59f7e7d230e587a00ef6765a1cb8775a0101bd8aea3d20d74bd",
+    "mu-three-directions": "f0e9d09da96e56d2d1346f3a9fa0df547da5a86b7e158b39bfd21bd44f799984",
     "mu-pareto": "6babd71b2ab929580d7d9298dddb67a09607009960cfcb681fbc7410f4c4673a",
     "shape": "5dd8e5c4e95d239c7118444206b9f678021529e1e9c737bca82346aedd20711e",
     "monotonicity": "cdd65b7e827ee0b6b9ebe29626de7de4b1a2b2627475456fa1d3e1f6d10044c1",
@@ -531,6 +542,11 @@ class TestWindowAccounting:
             if name in used:
                 assert max(radii) == int(used[name])
         assert len(rows) - 1 > len(estimates)  # some estimate used two radii
+        if experiment == "mu":
+            # one batch serves every direction, so they share the replica radii
+            by_name = [[(r, n) for e, r, n in rows[1:] if e == name] for name in estimates]
+            assert by_name[0] == by_name[1]
+            assert used["mu[1,0]"] == used["mu[1,1]"]
 
     def test_summary_records_the_sampler(self):
         result = run_experiment({"experiment": "lattice", "preset": "cubic2", "radius": 1})

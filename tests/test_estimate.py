@@ -73,7 +73,7 @@ class TestGeometry:
 class TestTimeConstant:
     def test_deterministic_unit_is_exact(self):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, DET1, (1, 0), 10, 2, 99)
+        est, = estimate_time_constant(lat, real, DET1, [(1, 0)], 10, 2, 99)
         assert est.point_estimate == 1.0
         assert est.std_error == 0.0
         assert est.trace == tuple([1.0] * 10)
@@ -82,14 +82,14 @@ class TestTimeConstant:
         # two parallel exponential edges per step: mu = 2 E min = 1 exactly
         lat, real = build_preset("cubic2")
         q = build_quotient(lat, real, KernelSublattice.of([(1, -1)], 2))
-        est = estimate_time_constant(q.sub_lattice, q.sub_realization, EXP1,
-                                     (2,), 60, 80, 2024, seed_role=1)
+        est, = estimate_time_constant(q.sub_lattice, q.sub_realization, EXP1,
+                                      [(2,)], 60, 80, 2024, seed_role=1)
         assert abs(est.point_estimate - 1.0) <= 3 * est.std_error
 
     def test_supercritical_bernoulli_is_near_zero(self):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, TimeDistribution.bernoulli(0.9),
-                                     (1, 0), 20, 16, 5)
+        est, = estimate_time_constant(lat, real, TimeDistribution.bernoulli(0.9),
+                                      [(1, 0)], 20, 16, 5)
         assert est.point_estimate < 0.05
         # independent confirmation that p = 0.9 is supercritical at this scale:
         # the zero-time cluster spans the window in most replicas
@@ -104,33 +104,33 @@ class TestTimeConstant:
         lat, real = build_preset("cubic2")
         with pytest.raises(MomentConditionError) as err:
             estimate_time_constant(lat, real, TimeDistribution.pareto(0.4),
-                                   (1, 0), 4, 2, 1)
+                                   [(1, 0)], 4, 2, 1)
         assert "1.6" in str(err.value)
 
     def test_moment_gate_accepts_lighter_tail(self):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6),
-                                     (1, 0), 4, 4, 1)
+        est, = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6),
+                                      [(1, 0)], 4, 4, 1)
         assert est.point_estimate > 0
 
     def test_deterministic_function_of_seed(self):
         lat, real = build_preset("cubic2")
-        a = estimate_time_constant(lat, real, EXP1, (1, 1), 6, 10, 77)
-        b = estimate_time_constant(lat, real, EXP1, (1, 1), 6, 10, 77)
-        c = estimate_time_constant(lat, real, EXP1, (1, 1), 6, 10, 78)
+        a, = estimate_time_constant(lat, real, EXP1, [(1, 1)], 6, 10, 77)
+        b, = estimate_time_constant(lat, real, EXP1, [(1, 1)], 6, 10, 77)
+        c, = estimate_time_constant(lat, real, EXP1, [(1, 1)], 6, 10, 78)
         assert a.samples == b.samples
         assert a.samples != c.samples
 
     def test_parallel_equals_serial(self):
         lat, real = build_preset("cubic2")
-        a = estimate_time_constant(lat, real, EXP1, (1, 0), 6, 8, 3, workers=1)
-        b = estimate_time_constant(lat, real, EXP1, (1, 0), 6, 8, 3, workers=2)
+        a, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 6, 8, 3, workers=1)
+        b, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 6, 8, 3, workers=2)
         assert a.samples == b.samples
         assert a.point_estimate == b.point_estimate
 
     def test_rational_direction_scaling(self):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, DET1, ("1/2", 0), 4, 2, 1)
+        est, = estimate_time_constant(lat, real, DET1, [("1/2", 0)], 4, 2, 1)
         assert est.scale == 2 and est.step == (1, 0)
         assert est.point_estimate == pytest.approx(0.5)  # mu(x/2) = mu(x)/2
 
@@ -142,10 +142,38 @@ class TestTimeConstant:
 
         moved = Realization({0: (0.0, 0.0), 1: (0.5, 0.2)}, real.period)
         shifted = real.translated((0.37, -1.4))
-        base = estimate_time_constant(lat, real, EXP1, (1, 0), 6, 12, 9)
-        alt = estimate_time_constant(lat, moved, EXP1, (1, 0), 6, 12, 9)
-        trans = estimate_time_constant(lat, shifted, EXP1, (1, 0), 6, 12, 9)
+        base, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 6, 12, 9)
+        alt, = estimate_time_constant(lat, moved, EXP1, [(1, 0)], 6, 12, 9)
+        trans, = estimate_time_constant(lat, shifted, EXP1, [(1, 0)], 6, 12, 9)
         assert base.samples == alt.samples == trans.samples
+
+    @pytest.mark.parametrize("preset, directions", [
+        ("cubic2", [(1, 0), (0, 1), (2, 1), ("1/2", -1)]),
+        ("triangular", [(1, 0), (1, 1), (-1, 2)]),
+    ])
+    def test_batched_directions_equal_one_direction_calls(self, preset, directions):
+        lat, real = build_preset(preset)
+        batch = estimate_time_constant(lat, real, DET1, directions, 4, 3, 8)
+        assert [e.direction for e in batch] == [rational_direction(d)[0] for d in directions]
+        for d, est in zip(directions, batch):
+            one, = estimate_time_constant(lat, real, DET1, [d], 4, 3, 8)
+            assert (est.point_estimate, est.std_error, est.samples, est.trace) == (
+                one.point_estimate, one.std_error, one.samples, one.trace)
+
+    def test_a_replica_on_its_one_direction_window_keeps_its_value(self):
+        # the batch reruns a replica flagged in any direction for every
+        # direction, so only its window can differ from a one-direction call
+        lat, real = build_preset("cubic2")
+        directions = [(1, 0), (0, 1), (2, 1)]
+        batch = estimate_time_constant(lat, real, EXP1, directions, 3, 20, 4)
+        same_window = 0
+        for d, est in zip(directions, batch):
+            one, = estimate_time_constant(lat, real, EXP1, [d], 3, 20, 4)
+            for i, (r, r_one) in enumerate(zip(est.replica_radii, one.replica_radii)):
+                if r == r_one:
+                    same_window += 1
+                    assert est.samples[i] == one.samples[i]
+        assert same_window >= 20
 
 
 class TestMomentGuard:
@@ -158,7 +186,7 @@ class TestMomentGuard:
 
         monkeypatch.setattr(estimate_module, "edge_connectivity_estimate", refuse)
         lat, real = build_preset("cubic2")
-        estimate_time_constant(lat, real, EXP1, (1, 0), 2, 2, 1)
+        estimate_time_constant(lat, real, EXP1, [(1, 0)], 2, 2, 1)
         positivity_scan(lat, real, [0.0, 0.5], (1, 0), 2, 2, 1)
         monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
                                 [(1,)], 2, 2, 1)
@@ -169,8 +197,21 @@ class TestMomentGuard:
         monkeypatch.setattr(estimate_module, "edge_connectivity_estimate",
                             lambda *args: calls.append(args) or connectivity(*args))
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6), (1, 0), 2, 2, 1)
+        est, = estimate_time_constant(lat, real, TimeDistribution.pareto(0.6), [(1, 0)], 2, 2, 1)
         assert len(calls) == 1 and "2.4" in est.moment_witness
+
+    def test_one_guard_per_side_of_a_batch(self, monkeypatch):
+        dims = []
+        guard = estimate_module._moment_guard
+        monkeypatch.setattr(estimate_module, "_moment_guard",
+                            lambda lat, *args: dims.append(lat.dim) or guard(lat, *args))
+        lat, real = build_preset("cubic2")
+        estimate_time_constant(lat, real, EXP1, [(1, 0), (0, 1), (1, 1)], 2, 2, 1)
+        assert dims == [2]
+        dims.clear()
+        monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
+                                [(1,), (-2,)], 2, 2, 1)
+        assert sorted(dims) == [1, 2]  # the quotient side and the cover side
 
 
 class TestShape:
@@ -251,7 +292,7 @@ class TestShape:
 class TestNormProperties:
     def test_deterministic_subadditivity_exact(self):
         lat, real = build_preset("cubic2")
-        ests = [estimate_time_constant(lat, real, DET1, d, 6, 2, 5)
+        ests = [estimate_time_constant(lat, real, DET1, [d], 6, 2, 5)[0]
                 for d in [(1, 0), (0, 1), (1, 1)]]
         report = norm_property_report(ests)
         sub = [c for c in report.checks if c.kind == "subadditivity"]
@@ -264,7 +305,7 @@ class TestNormProperties:
         dirs = [(1, 0), (0, 1), (1, 1), (2, 0), ("1/2", 0), (-1, 0)]
         k_for = {(1, 0): 16, (0, 1): 16, (1, 1): 12, (2, 0): 8,
                  ("1/2", 0): 16, (-1, 0): 16}
-        ests = [estimate_time_constant(lat, real, EXP1, d, k_for[d], 30, 17)
+        ests = [estimate_time_constant(lat, real, EXP1, [d], k_for[d], 30, 17)[0]
                 for d in dirs]
         report = norm_property_report(ests)
         kinds = {c.kind for c in report.checks}
@@ -274,8 +315,8 @@ class TestNormProperties:
 
     def test_mismatched_inputs_rejected(self):
         lat, real = build_preset("cubic2")
-        a = estimate_time_constant(lat, real, EXP1, (1, 0), 4, 2, 5)
-        b = estimate_time_constant(lat, real, EXP1, (0, 1), 4, 2, 6)
+        a, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 4, 2, 5)
+        b, = estimate_time_constant(lat, real, EXP1, [(0, 1)], 4, 2, 6)
         with pytest.raises(ValueError):
             norm_property_report([a, b])
 
@@ -312,6 +353,23 @@ class TestMonotonicity:
         for e in report.entries:
             assert abs(e.mu_affine - e.mu_quotient) < 1e-9
         assert report.all_passed
+
+    @pytest.mark.parametrize("preset, kernel, directions", [
+        ("cubic2", [(1, -1)], [(2,), (-1,), (3,)]),
+        ("cubic3", [(1, 1, 1)], [(1, 0), (0, -1), (-1, -1), (2, 1)]),
+    ])
+    def test_batched_directions_equal_one_direction_calls(self, preset, kernel, directions):
+        lat, real = build_preset(preset)
+        kernel = KernelSublattice.of(kernel, lat.dim)
+
+        def values(e):
+            return e.direction, e.mu_quotient, e.se_quotient, e.mu_affine, e.se_affine, e.slack
+
+        batch = monotonicity_experiment(lat, real, kernel, DET1, directions, 3, 2, 3).entries
+        assert len(batch) == len(directions)
+        for d, e in zip(directions, batch):
+            one, = monotonicity_experiment(lat, real, kernel, DET1, [d], 3, 2, 3).entries
+            assert values(e) == values(one)
 
     def test_polytope_containment_deterministic(self):
         # quotient unit ball inside the projected cover ball, vertexwise
@@ -579,12 +637,22 @@ class TestPositivity:
 # Each estimator on cubic2 with exponential(1) times, run by TestWindowEnlargement
 # with no slack layers and no fiber halo, so the first window is too small for
 # some replicas: (run() -> reported radius, the (lattice dim, radius) of every
-# replica batch).  The monotonicity run maps the quotient replicas once on the
-# line, then the cover replicas on three windows.
+# replica batch).  The monotonicity runs map the quotient replicas once on the
+# line, then the cover replicas on three windows.  The multi-direction runs
+# make one batch per window for all their directions, whose first window is
+# set by the farthest target.
 def _mu_run(workers=1):
     lat, real = build_preset("cubic2")
-    return estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 4,
-                                  workers=workers).radius_used
+    est, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 5, 20, 4, workers=workers)
+    return est.radius_used
+
+
+def _mu_three_directions_run(workers=1):
+    lat, real = build_preset("cubic2")
+    ests = estimate_time_constant(lat, real, EXP1, [(1, 0), (0, 1), (2, 1)], 3, 20, 4,
+                                  workers=workers)
+    assert len({(e.radius_used, e.replica_radii, e.enlargements) for e in ests}) == 1
+    return ests[0].radius_used
 
 
 def _shape_run(workers=1):
@@ -592,17 +660,25 @@ def _shape_run(workers=1):
     return estimate_shape(lat, real, EXP1, 8, 3, 10, 1, workers=workers).radius_used
 
 
-def _monotonicity_run(workers=1):
+def _monotonicity_run(workers=1, directions=((2,),)):
     lat, real = build_preset("cubic2")
     report = monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2), EXP1,
-                                     [(2,)], 3, 10, 1, workers=workers)
+                                     list(directions), 3, 10, 1, workers=workers)
+    assert len({(e.radius_cover, e.replica_radii_cover) for e in report.entries}) == 1
     return report.entries[0].radius_cover
+
+
+def _monotonicity_two_directions_run(workers=1):
+    return _monotonicity_run(workers, [(2,), (-1,)])
 
 
 ENLARGING_RUNS = {
     "mu": (_mu_run, [(2, 6), (2, 9)]),
+    "mu-three-directions": (_mu_three_directions_run, [(2, 7), (2, 10)]),
     "shape": (_shape_run, [(2, 4), (2, 6)]),
     "monotonicity": (_monotonicity_run, [(1, 7), (2, 5), (2, 7), (2, 10)]),
+    "monotonicity-two-directions": (_monotonicity_two_directions_run,
+                                    [(1, 7), (2, 5), (2, 7), (2, 10)]),
 }
 
 
@@ -629,7 +705,7 @@ class TestWindowEnlargement:
 
     def test_time_constant_enlarges_once(self, returned):
         lat, real = build_preset("cubic2")
-        est = estimate_time_constant(lat, real, EXP1, (1, 0), 5, 20, 4)
+        est, = estimate_time_constant(lat, real, EXP1, [(1, 0)], 5, 20, 4)
         assert est.enlargements == 1
         assert est.radius_used == 9  # 6 + max(2, 6 // 2)
         assert len(returned) == est.enlargements + 1
@@ -688,6 +764,8 @@ class TestWindowEnlargement:
         ("mu", [(20, 2), (2, 1)]),
         ("shape", [(10, 2), (6, 2)]),
         ("monotonicity", [(10, 2), (10, 2), (3, 1), (1, 1)]),
+        ("mu-three-directions", [(20, 2), (1, 1)]),
+        ("monotonicity-two-directions", [(10, 2), (10, 2), (3, 1), (1, 1)]),
     ])
     def test_a_pool_worker_gets_at_least_two_replicas(self, monkeypatch, name, batches):
         seen = []
