@@ -13,7 +13,6 @@ from .estimate import (
     estimate_time_constant,
     lifting_inequality_check,
     monotonicity_experiment,
-    norm_property_report,
     positivity_scan,
 )
 from .fpp import (
@@ -21,9 +20,7 @@ from .fpp import (
     MomentConditionError,
     TimeDistribution,
     moment_check,
-    passage_between_points,
     passage_times,
-    passage_to_affine,
     percolation_region,
     replica_seed,
     sample_configuration,
@@ -33,7 +30,6 @@ from .graph_core import (
     HalfEdge,
     graph_from_edges,
     spanning_tree,
-    tree_partition,
 )
 from .lattice import (
     CrystalLattice,
@@ -41,7 +37,6 @@ from .lattice import (
     Window,
     build_custom,
     build_preset,
-    closest_vertex,
     edge_connectivity_estimate,
     instantiate_window,
     lattice_from_text,
@@ -64,14 +59,13 @@ __all__ = [
     "KernelSublattice", "QuotientData",
     "TimeDistribution", "Configuration", "MomentConditionError",
     "TimeConstantEstimate", "ShapeEstimate",
-    "graph_from_edges", "spanning_tree", "tree_partition",
-    "build_preset", "build_custom", "instantiate_window", "closest_vertex",
+    "graph_from_edges", "spanning_tree",
+    "build_preset", "build_custom", "instantiate_window",
     "edge_connectivity_estimate", "lattice_to_text", "lattice_from_text",
     "lattice_hash",
     "smith_normal_form", "invariant_factors", "build_quotient",
     "covering_fiber", "verify_diagram",
-    "moment_check", "replica_seed", "sample_configuration", "passage_times",
-    "passage_between_points", "passage_to_affine", "percolation_region",
-    "estimate_time_constant", "estimate_shape", "norm_property_report",
-    "monotonicity_experiment", "lifting_inequality_check", "positivity_scan",
+    "moment_check", "replica_seed", "sample_configuration", "passage_times", "percolation_region",
+    "estimate_time_constant", "estimate_shape", "monotonicity_experiment",
+    "lifting_inequality_check", "positivity_scan",
 ]

@@ -1,6 +1,6 @@
 """Monte Carlo estimation of time constants and limit shapes, plus the
-experiment harnesses that probe the norm properties, the covering
-monotonicity of shapes, the lifting inequality, and positivity regimes.
+experiment harnesses that probe the covering monotonicity of shapes, the
+lifting inequality, and positivity regimes.
 
 Estimators are fixed-k plug-ins: the passage time to the k_max-th multiple of
 the target translation, averaged over independent replicas.  This upper-biases
@@ -20,9 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, product
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .lattice import (
     Window,
     edge_connectivity_estimate,
     instantiate_window,
-    lattice_hash,
 )
 from .quotient import KernelSublattice, QuotientData, build_quotient, covering_fiber
 
@@ -300,9 +299,6 @@ class TimeConstantEstimate:
     radius_used: int
     replica_radii: tuple[int, ...]
     enlargements: int
-    base_seed: int
-    distribution_label: str
-    lattice_id: str
     moment_witness: str
 
 
@@ -325,7 +321,6 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     if any(len(coords) != lattice.dim for coords, _, _ in parsed):
         raise ValueError(f"every direction must have the lattice dimension {lattice.dim}")
     witness = _moment_guard(lattice, realization, distribution)
-    lattice_id = lattice_hash(lattice, realization)
 
     u0 = lattice.base.vertices[0]
     per_direction, _, radius, enlargements, radii = _unflagged_replicas(
@@ -344,9 +339,7 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
         estimates.append(TimeConstantEstimate(
             direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
             samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
-            replica_radii=tuple(radii), enlargements=enlargements, base_seed=base_seed,
-            distribution_label=distribution.label(), lattice_id=lattice_id,
-            moment_witness=witness))
+            replica_radii=tuple(radii), enlargements=enlargements, moment_witness=witness))
     return estimates
 
 
@@ -475,72 +468,6 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
 
 
 # ---------------------------------------------------------------------------
-# norm properties
-
-
-@dataclass(frozen=True)
-class NormCheck:
-    kind: str
-    detail: str
-    lhs: float
-    rhs: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.slack
-
-
-@dataclass
-class NormPropertyReport:
-    checks: tuple[NormCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def norm_property_report(estimates: Iterable[TimeConstantEstimate],
-                         tol_in_std_errors: float = 3.0) -> NormPropertyReport:
-    """Check subadditivity, rational homogeneity, and symmetry on estimates.
-
-    Every pair (x, y) with x+y also estimated is checked for subadditivity;
-    every collinear pair for homogeneity; antipodal pairs for symmetry.
-    Slack is tol_in_std_errors pooled standard errors, floored at
-    SLACK_FLOOR so deterministic runs compare at absolute tolerance.
-    """
-    ests = list(estimates)
-    if not ests:
-        raise ValueError("no estimates given")
-    ident = {(e.distribution_label, e.lattice_id, e.base_seed) for e in ests}
-    if len(ident) != 1:
-        raise ValueError("mismatched inputs: estimates differ in lattice/distribution/seed")
-    by_dir = {e.direction: e for e in ests}
-
-    checks: list[NormCheck] = []
-    for x, y in combinations(by_dir, 2):
-        s = tuple(a + b for a, b in zip(x, y))
-        if s in by_dir:
-            ex, ey, es_ = by_dir[x], by_dir[y], by_dir[s]
-            slack = _slack(tol_in_std_errors, ex.std_error, ey.std_error, es_.std_error)
-            checks.append(NormCheck(
-                "subadditivity", f"{s} vs {x} + {y}",
-                es_.point_estimate, ex.point_estimate + ey.point_estimate, slack))
-    for x, y in permutations(by_dir, 2):
-        ratios = {b / a for a, b in zip(x, y) if a != 0}
-        if len(ratios) != 1 or any(a == 0 and b != 0 for a, b in zip(x, y)):
-            continue
-        c = ratios.pop()
-        ex, ey = by_dir[x], by_dir[y]
-        scale = abs(float(c))
-        slack = _slack(tol_in_std_errors, ey.std_error, scale * ex.std_error)
-        kind = "symmetry" if c == -1 else "homogeneity"
-        diff = abs(ey.point_estimate - scale * ex.point_estimate)
-        checks.append(NormCheck(kind, f"{y} vs {c} * {x}", diff, 0.0, slack))
-    return NormPropertyReport(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
 # monotonicity of shapes under quotients
 
 
@@ -587,6 +514,10 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
     is one batch: every direction's quotient target, or every fiber.
     """
     qdata = build_quotient(lattice, realization, kernel)
+    for direction in quotient_directions:
+        if len(direction) != qdata.dim_quotient:
+            raise ValueError(f"direction {','.join(map(str, direction))!r} has length"
+                             f" {len(direction)}, the quotient dimension is {qdata.dim_quotient}")
     _moment_guard(lattice, realization, distribution)
     quotient_estimates = estimate_time_constant(
         qdata.sub_lattice, qdata.sub_realization, distribution, quotient_directions,
@@ -780,6 +711,9 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     low and high, so the weights are ints.
     """
     qdata = build_quotient(lattice, realization, kernel)
+    if len(target_index) != qdata.dim_quotient:
+        raise ValueError(f"target_index {','.join(map(str, target_index))!r} has length"
+                         f" {len(target_index)}, the quotient dimension is {qdata.dim_quotient}")
     window1 = instantiate_window(qdata.sub_lattice, qdata.sub_realization, r_quotient)
     window_x = instantiate_window(lattice, realization, r_cover)
     u0 = lattice.base.vertices[0]

@@ -7,20 +7,17 @@ time upward.  Estimators never use flagged samples; they enlarge the window.
 passage_times asks for target groups only: the full search stops once every
 group has a settled vertex, a parent chain inside the interior certifies a
 group unflagged, and the margin-restricted search runs only for the groups
-left in doubt.  Point and affine passage are target groups of one vertex
-each; percolation_region is one whole-window search.
+left in doubt.  percolation_region is one whole-window search.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .lattice import Vertex, Window, closest_vertex
-from .quotient import _gram_schmidt
+from .lattice import Vertex, Window
 
 
 class DistributionError(ValueError):
@@ -33,10 +30,6 @@ class MomentConditionError(RuntimeError):
     def __init__(self, witness: str):
         self.witness = witness
         super().__init__(witness)
-
-
-class AffineSnapError(ValueError):
-    """No realized window vertex lies on the requested affine subspace."""
 
 
 FAMILIES = ("deterministic", "bernoulli", "uniform", "exponential", "pareto")
@@ -110,18 +103,6 @@ class TimeDistribution:
         except TypeError:
             raise DistributionError(
                 f"wrong number of parameters for {name.strip()}: {spec!r}") from None
-
-    def atom_at_zero(self) -> float:
-        """Analytic mass of the law at exactly zero."""
-        if self.family == "deterministic":
-            return 1.0 if self.params[0] == 0 else 0.0
-        if self.family == "bernoulli":
-            p, low, high = self.params
-            return (p if low == 0 else 0.0) + ((1 - p) if high == 0 else 0.0)
-        if self.family == "uniform":
-            a, b = self.params
-            return 1.0 if a == b == 0 else 0.0
-        return 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.family == "deterministic":
@@ -314,65 +295,6 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
     restricted = _dijkstra(window, weights, src, window.interior_mask(margin).tolist(),
                            stop=_stop_table([targets[g] for g in doubtful]))
     return times, any(min(restricted[v] for v in targets[g]) != times[g] for g in doubtful)
-
-
-@dataclass(frozen=True)
-class PointPassage:
-    time: float
-    boundary_touched: bool
-    source: Vertex
-    target: Vertex
-
-
-def passage_between_points(config: Configuration, x: Sequence[float],
-                           y: Sequence[float], margin: int = 1) -> PointPassage:
-    """First passage time between the closest realized vertices of x and y.
-
-    The endpoints are put in canonical (index, vertex) order before running
-    the search, so the result is exactly symmetric in x and y.
-    """
-    window = config.window
-    a = closest_vertex(x, window)
-    b = closest_vertex(y, window)
-    lo, hi = sorted((a, b), key=lambda v: (v[1], v[0]))
-    (time,), flagged = passage_times(config, lo, margin,
-                                     targets=[[window.vertex_index[hi]]], watched=[0])
-    return PointPassage(time, flagged, lo, hi)
-
-
-def passage_to_affine(config: Configuration, x: Sequence[float],
-                      affine: tuple[Sequence[Sequence[float]], Sequence[float]],
-                      margin: int = 1) -> PointPassage:
-    """Minimum passage time from x to any realized vertex on the affine set.
-
-    The affine subspace is given by (normal rows, offsets): {y : N y = c}.
-    Vertices within half the minimal realized edge spacing of the subspace
-    count as lying on it; no such vertex is an error (the subspace is not
-    rationally positioned, or the window is too small).
-    """
-    window = config.window
-    normals = np.asarray(affine[0], dtype=float)
-    offsets = np.asarray(affine[1], dtype=float)
-    if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:
-        raise ValueError("affine spec needs matching normal rows and offsets")
-    point0, *_ = np.linalg.lstsq(normals, offsets, rcond=None)
-    if not np.allclose(normals @ point0, offsets, atol=1e-9):
-        raise ValueError("inconsistent affine constraints")
-    ortho = _gram_schmidt(normals.T)
-    resid = (window.coords - point0) @ ortho.T
-    dist = np.linalg.norm(resid, axis=1)
-    snap = window.min_edge_length() / 2.0
-    candidates = np.nonzero(dist <= snap)[0]
-    if len(candidates) == 0:
-        raise AffineSnapError(
-            f"no realized vertex within {snap:g} of the affine subspace in this window")
-    src = closest_vertex(x, window)
-    candidates = candidates.tolist()
-    times, flagged = passage_times(config, src, margin, targets=[[i] for i in candidates],
-                                   watched=range(len(candidates)))
-    # window order is (index, base vertex) order, the tie-break among equal times
-    time, best = min(zip(times, candidates))
-    return PointPassage(time, flagged, src, window.vertices[best])
 
 
 def percolation_region(config: Configuration, source: Vertex, t: float) -> list:

@@ -1,4 +1,5 @@
-"""Finite symmetric directed graphs with inversion pairing, and spanning-tree lifts.
+"""Finite symmetric directed graphs with inversion pairing, spanning trees and
+their voltage potentials.
 
 A graph is stored as a set of half-edges: every undirected edge appears as a
 pair (e, inverse(e)) of directed half-edges.  Undirected views are derived as
@@ -159,29 +160,3 @@ def tree_potentials(graph: FiniteGraph, voltage: Mapping[int, tuple[int, ...]],
                 pot[w] = tuple(a + b for a, b in zip(pot[v], voltage[eid]))
                 queue.append(w)
     return pot
-
-
-def tree_partition(window, base_tree: Sequence[int]) -> dict[tuple[int, ...], frozenset]:
-    """Lift a base spanning tree over every translation index where it fits.
-
-    Returns {index: vertex set} for each index whose lifted copy of the tree
-    lies entirely in the window.  The lifted copies are pairwise disjoint and
-    cover exactly the window vertices whose tree-adjusted index is interior.
-    """
-    lattice = window.lattice
-    graph = lattice.base
-    pot = tree_potentials(graph, lattice.voltage, base_tree)
-    out: dict[tuple[int, ...], frozenset] = {}
-    for z in window.indices:
-        copy = []
-        ok = True
-        for u in graph.vertices:
-            zu = tuple(a + b for a, b in zip(z, pot[u]))
-            if not window.contains(u, zu):
-                ok = False
-                break
-            copy.append((u, zu))
-        if ok:
-            out[z] = frozenset(copy)
-    return out
-

@@ -142,16 +142,6 @@ class Realization:
     def position_array(self, vertices: Sequence[int]) -> np.ndarray:
         return np.array([self.positions[u] for u in vertices], dtype=float)
 
-    def translated(self, b: Sequence[float]) -> "Realization":
-        off = tuple(float(c) for c in b)
-        return Realization({u: tuple(a + o for a, o in zip(p, off))
-                            for u, p in self.positions.items()}, self.period)
-
-    def transformed(self, a_matrix: Sequence[Sequence[float]]) -> "Realization":
-        A = np.array(a_matrix, dtype=float)
-        return Realization({u: tuple(A @ np.array(p)) for u, p in self.positions.items()},
-                           tuple(map(tuple, A @ self.period_matrix())))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Realization)
                 and self.positions == other.positions and self.period == other.period)
@@ -164,9 +154,9 @@ class Window:
     keyed by (canonical half-edge id, origin index) and ordered likewise.  The
     edge table orbit_ends holds each orbit's two endpoint vertex indices in
     that order, and orbit_eids each orbit's canonical half-edge id; the
-    adjacency and every edge-level computation read them.  The orbit keys and
-    their index map are built from the table only when asked for, since the
-    estimators never need them.  Immutable after construction.
+    adjacency and every edge-level computation read them.  The orbit keys are
+    built from the table only when asked for, since the estimators never need
+    them.  Immutable after construction.
     """
 
     def __init__(self, lattice: CrystalLattice, realization: Realization, radius: int):
@@ -255,25 +245,10 @@ class Window:
         return (self.lattice.base.has_vertex(u) and len(z) == self.lattice.dim
                 and all(-r <= c <= r for c in z))
 
-    def orbit_endpoints(self, key: tuple[int, tuple[int, ...]]) -> tuple[Vertex, Vertex]:
-        """Endpoints of one orbit from its key alone (the rule orbit_ends tabulates)."""
-        eid, z = key
-        e = self.lattice.base.half_edges[eid]
-        z2 = tuple(a + b for a, b in zip(z, self.lattice.voltage[eid]))
-        return (e.origin, z), (e.terminus, z2)
-
     def interior_mask(self, margin: int, idx=slice(None)) -> np.ndarray:
         """True for vertices (all, or those at idx) at least `margin` layers away
         from the boundary."""
         return np.all(np.abs(self.vertex_translations[idx]) <= self.radius - margin, axis=1)
-
-    def min_edge_length(self) -> float:
-        a, b = self.orbit_ends.T
-        diff = (self.coords[a] - self.coords[b])[:, None, :]
-        # one dot product per row, rounded as np.linalg.norm rounds a single vector
-        lengths = np.sqrt((diff @ diff.transpose(0, 2, 1)).ravel())
-        lengths = lengths[lengths > 1e-15]
-        return float(lengths.min()) if len(lengths) else math.inf
 
     def __repr__(self) -> str:
         return (f"Window(R={self.radius}, {len(self.vertices)} vertices,"
@@ -283,21 +258,6 @@ class Window:
 def instantiate_window(lattice: CrystalLattice, realization: Realization, radius: int) -> Window:
     """Materialize the [-R, R]^d window with cached coordinates."""
     return Window(lattice, realization, radius)
-
-
-def closest_vertex(point: Sequence[float], window: Window) -> Vertex:
-    """Euclidean-nearest realized window vertex.
-
-    Ties are broken by the lexicographically smallest (index, base vertex).
-    """
-    if not window.vertices:
-        raise LatticeError("window is empty")
-    p = np.asarray(point, dtype=float)
-    d2 = np.sum((window.coords - p) ** 2, axis=1)
-    best = float(d2.min())
-    tol = 1e-12 * max(1.0, best)
-    cand = np.nonzero(d2 <= best + tol)[0]
-    return min((window.vertices[i] for i in cand), key=lambda v: (v[1], v[0]))
 
 
 # ---------------------------------------------------------------------------

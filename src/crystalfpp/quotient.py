@@ -200,10 +200,6 @@ class QuotientData:
     def project_index(self, z: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(r * c for r, c in zip(row, z)) for row in self.q)
 
-    def project_vertex(self, vertex) -> tuple[int, tuple[int, ...]]:
-        u, z = vertex
-        return (u, self.project_index(z))
-
 
 def _gram_schmidt(columns: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     basis = []

@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 
 from oracles import bellman_ford, bfs_hops, invariant_factors_by_minors, exact_determinant
+from oracles import norm_property_report, tree_partition
 
 from crystalfpp.estimate import (
     convex_hull_2d,
@@ -22,7 +23,6 @@ from crystalfpp.estimate import (
     hausdorff_distance,
     lifting_inequality_check,
     monotonicity_experiment,
-    norm_property_report,
     polygon_contains,
     positivity_scan,
 )
@@ -34,7 +34,7 @@ from crystalfpp.fpp import (
     passage_times,
     replica_seed,
 )
-from crystalfpp.graph_core import spanning_tree, tree_partition, tree_potentials
+from crystalfpp.graph_core import spanning_tree, tree_potentials
 from crystalfpp.lattice import build_preset, instantiate_window
 from crystalfpp.quotient import (
     KernelSublattice,

@@ -300,6 +300,10 @@ class TestExitCodes:
         (["render", "--preset", "cubic2", "--input-csv", "{tmp}/s.csv"],
          {"s.csv": 'dir_index,direction,replica,normalized_time\n0,"1,0",0,1.0\n'
                    '1,"1,0",0,1.0\n'}),
+        (["monotonicity", "--preset", "cubic2", "--kernel", "1,-1", "--dist", "exponential:1",
+          "--direction", "1,0"], {}),
+        (["lift-check", "--preset", "cubic3", "--kernel", "1,1,1", "--dist", "bernoulli:0.5",
+          "--target-index", "1"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -317,7 +321,8 @@ class TestExitCodes:
             "t-grid-empty", "p-grid-empty-list", "t-grid-empty-list", "tolerance-negative",
             "threads-huge", "seed-negative", "degenerate-lattice-file",
             "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index",
-            "render-index-two-directions", "render-direction-two-indices"])
+            "render-index-two-directions", "render-direction-two-indices",
+            "monotonicity-cover-direction", "target-short"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, request,
                                                          argv, files):
         for name, content in files.items():
@@ -341,7 +346,13 @@ class TestExitCodes:
                     "render-index-two-directions":
                         "s.csv: line 3: dir_index 0 already has direction '1,0'",
                     "render-direction-two-indices":
-                        "s.csv: line 3: direction '1,0' already has dir_index 0"}
+                        "s.csv: line 3: direction '1,0' already has dir_index 0",
+                    "monotonicity-cover-direction":
+                        "direction '1,0' has length 2, the quotient dimension is 1",
+                    "target-wrong-dim":
+                        "target_index '1,0' has length 2, the quotient dimension is 1",
+                    "target-short":
+                        "target_index '1' has length 1, the quotient dimension is 2"}
 
     @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
     def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):

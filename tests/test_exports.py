@@ -3,7 +3,8 @@ import crystalfpp
 
 # public names taken out of the package; none may come back through __all__
 REMOVED = ("check_symmetry", "lift_path", "LiftedPath", "PathSeq", "OutOfWindowError",
-           "restricted_passage")
+           "restricted_passage", "passage_between_points", "passage_to_affine",
+           "closest_vertex", "tree_partition", "norm_property_report")
 
 
 def test_every_export_resolves():

@@ -8,17 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import bellman_ford
+from oracles import AffineSnapError, min_edge_length, passage_between_points, passage_to_affine
 
 from crystalfpp.fpp import (
-    AffineSnapError,
     Configuration,
     DistributionError,
     TimeDistribution,
     _dijkstra,
     moment_check,
-    passage_between_points,
     passage_times,
-    passage_to_affine,
     percolation_region,
     replica_seed,
     sample_configuration,
@@ -89,13 +87,6 @@ class TestDistributions:
             TimeDistribution.exponential(0.0)
         with pytest.raises(DistributionError):
             TimeDistribution.pareto(-1.0)
-
-    def test_atom_at_zero(self):
-        assert TimeDistribution.deterministic(0).atom_at_zero() == 1.0
-        assert TimeDistribution.deterministic(2).atom_at_zero() == 0.0
-        assert TimeDistribution.bernoulli(0.3).atom_at_zero() == 0.3
-        assert TimeDistribution.exponential(1).atom_at_zero() == 0.0
-        assert TimeDistribution.pareto(0.5).atom_at_zero() == 0.0
 
 
 class TestSampling:
@@ -394,7 +385,7 @@ class TestPassageToAffine:
         normal = np.array(normal, dtype=float)
         offset = float(normal @ win.coords[data.draw(st.integers(0, n - 1))])
         gap = np.abs(win.coords @ normal - offset) / np.linalg.norm(normal)
-        snap = win.min_edge_length() / 2
+        snap = min_edge_length(win) / 2
         assume(not np.any(np.abs(gap - snap) < 1e-9))
         candidates = np.flatnonzero(gap <= snap).tolist()
 

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import tree_partition
+
 from crystalfpp.graph_core import (
     FiniteGraph,
     GraphError,
@@ -7,7 +9,6 @@ from crystalfpp.graph_core import (
     HalfEdge,
     graph_from_edges,
     spanning_tree,
-    tree_partition,
 )
 from crystalfpp.lattice import build_preset, instantiate_window
 

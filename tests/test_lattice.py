@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import maximum_flow
+from oracles import closest_vertex, orbit_endpoints
 from test_fpp import random_lattice
 
 from crystalfpp.graph_core import graph_from_edges
@@ -19,7 +20,6 @@ from crystalfpp.lattice import (
     WindowLimitError,
     build_custom,
     build_preset,
-    closest_vertex,
     edge_connectivity_estimate,
     instantiate_window,
     lattice_from_text,
@@ -91,7 +91,7 @@ class TestPresets:
         win = instantiate_window(lat, real, 1)
         lengths = set()
         for key in win.orbit_keys:
-            a, b = win.orbit_endpoints(key)
+            a, b = orbit_endpoints(win, key)
             d = np.linalg.norm(win.coords[win.vertex_index[a]]
                                - win.coords[win.vertex_index[b]])
             lengths.add(round(float(d), 9))
@@ -209,7 +209,7 @@ class TestWindow:
         assert win.orbit_ends.shape == (len(win.orbit_keys), 2)
         adj = [[] for _ in win.vertices]
         for i, key in enumerate(win.orbit_keys):
-            a, b = (win.vertex_index[v] for v in win.orbit_endpoints(key))
+            a, b = (win.vertex_index[v] for v in orbit_endpoints(win, key))
             assert win.orbit_ends[i].tolist() == [a, b]
             adj[a].append((b, i))
             if b != a:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import exact_determinant, invariant_factors_by_minors
+from oracles import affine_vertices, passage_to_affine
 
+from crystalfpp.fpp import TimeDistribution, passage_times, sample_configuration
 from crystalfpp.lattice import LatticeError, Realization, build_preset, instantiate_window
 from crystalfpp.quotient import (
     KernelSublattice,
@@ -253,6 +255,28 @@ class TestCoveringFiber:
         images = {tuple(np.round(p @ (rho @ np.array(z, float)), 9)) for _, z in fiber}
         assert len(images) == 1
 
+    @pytest.mark.parametrize("preset,kernel,radius,targets", [
+        ("cubic2", [(1, -1)], 4, [(1,), (3,), (-2,)]),
+        ("cubic3", [(1, 1, 1)], 3, [(1, 0), (2, -1), (-1, 3)]),
+    ])
+    @pytest.mark.parametrize("law", ["exponential:1", "bernoulli:0.5"])
+    def test_fiber_is_the_geometric_preimage(self, preset, kernel, radius, targets, law):
+        # the estimator's cover-side group is the algebraic fiber; the paper's is
+        # the preimage of the quotient point under P, found here geometrically
+        lat, real = build_preset(preset)
+        q = build_quotient(lat, real, KernelSublattice.of(kernel, lat.dim))
+        win = instantiate_window(lat, real, radius)
+        source = (0, (0,) * lat.dim)
+        for target1 in targets:
+            affine = (q.p_matrix, np.add(q.sub_realization.positions[0],
+                                         q.sub_realization.period_matrix() @ target1))
+            fiber = [win.vertex_index[v] for v in covering_fiber(q, (0, target1), win)]
+            assert affine_vertices(win, affine) == fiber
+            for seed in range(6):
+                cfg = sample_configuration(win, TimeDistribution.parse(law), seed)
+                (fiber_min,), _ = passage_times(cfg, source, targets=[fiber])
+                assert passage_to_affine(cfg, real.positions[0], affine).time == fiber_min
+
 
 class TestVerifyDiagram:
     @pytest.mark.parametrize("preset,kernel", [
@@ -285,7 +309,7 @@ class TestVerifyDiagram:
             for eid in lat.base.out_edges(u):
                 e = lat.base.half_edges[eid]
                 z2 = tuple(a + b for a, b in zip(z, lat.voltage[eid]))
-                lhs = q.project_vertex((e.terminus, z2))
+                lhs = (e.terminus, q.project_index(z2))
                 rhs = (e.terminus, tuple(a + b for a, b in zip(
                     q.project_index(z), q.sub_lattice.voltage[eid])))
                 assert lhs == rhs
