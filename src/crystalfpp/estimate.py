@@ -318,8 +318,10 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     parsed = [rational_direction(direction) for direction in directions]
     if not parsed:
         raise ValueError("no directions given")
-    if any(len(coords) != lattice.dim for coords, _, _ in parsed):
-        raise ValueError(f"every direction must have the lattice dimension {lattice.dim}")
+    for direction in directions:
+        if len(direction) != lattice.dim:
+            raise ValueError(f"direction {','.join(map(str, direction))!r} has length"
+                             f" {len(direction)}, the lattice dimension is {lattice.dim}")
     witness = _moment_guard(lattice, realization, distribution)
 
     u0 = lattice.base.vertices[0]

@@ -7,7 +7,10 @@ time upward.  Estimators never use flagged samples; they enlarge the window.
 passage_times asks for target groups only: the full search stops once every
 group has a settled vertex, a parent chain inside the interior certifies a
 group unflagged, and the margin-restricted search runs only for the groups
-left in doubt.  percolation_region is one whole-window search.
+left in doubt, with every orbit that touches the margin given an infinite
+time.  percolation_region is one whole-window search.  Every search is one
+_dijkstra, which queues distinct labels rather than vertices, since the
+atomic laws of the positivity question tie most labels.
 """
 from __future__ import annotations
 
@@ -206,14 +209,21 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
 # shortest-path passage times
 
 
-def _dijkstra(window: Window, weights, source_idx: int, allowed=None, stop=None,
-              parent=None) -> list:
-    """Single-source shortest path over the window adjacency, within `allowed`.
+def _dijkstra(window: Window, weights, source_idx: int, stop=None, parent=None) -> list:
+    """Single-source shortest path over the window adjacency.
 
     weights is indexed by orbit: a list of floats, or of ints for the exact
-    enumeration.  Returns a distance list with math.inf for unreachable
-    vertices.  Each label is the least left-to-right sum over the paths to its
-    vertex, since adding a nonnegative number is monotone.
+    enumeration.  An infinite weight closes its orbit, since no label ever
+    arrives through it.  Returns a distance list with math.inf for
+    unreachable vertices.  Each label is the least left-to-right sum over the
+    paths to its vertex, since adding a nonnegative number is monotone.
+
+    The heap holds one entry per distinct label, and a dict maps each label
+    to the vertices given it, in the order they were given it.  A pop
+    settles the label's vertices in that order, skipping those lowered since;
+    a zero-weight relaxation re-opens the label being settled, which is then
+    the least label and settles next.  Under atomic laws most labels tie, and
+    a tie costs a list append instead of a heap entry.
 
     stop maps target vertices to the groups they belong to (see _stop_table):
     the search then returns once every group has a settled vertex.  Settled
@@ -222,30 +232,33 @@ def _dijkstra(window: Window, weights, source_idx: int, allowed=None, stop=None,
     came from: a label is its parent's label plus the edge weight.
     """
     dist = [math.inf] * len(window.vertices)
-    if allowed is not None and not allowed[source_idx]:
-        return dist
     dist[source_idx] = 0
     pending = {g for groups in stop.values() for g in groups} if stop else None
     adj = window.adjacency
-    heap = [(0, source_idx)]
-    pop, push = heapq.heappop, heapq.heappush
+    heap = [0]
+    buckets = {0: [source_idx]}
+    pop, push, bucket_of = heapq.heappop, heapq.heappush, buckets.get
     while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        if pending is not None and u in stop:
-            pending.difference_update(stop[u])
-            if not pending:
-                break
-        for v, orbit in adj[u]:
-            if allowed is not None and not allowed[v]:
+        d = pop(heap)
+        for u in buckets.pop(d):
+            if dist[u] != d:
                 continue
-            nd = d + weights[orbit]
-            if nd < dist[v]:
-                dist[v] = nd
-                if parent is not None:
-                    parent[v] = u
-                push(heap, (nd, v))
+            if pending is not None and u in stop:
+                pending.difference_update(stop[u])
+                if not pending:
+                    return dist
+            for v, orbit in adj[u]:
+                nd = d + weights[orbit]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    if parent is not None:
+                        parent[v] = u
+                    bucket = bucket_of(nd)
+                    if bucket is None:
+                        buckets[nd] = [v]
+                        push(heap, nd)
+                    else:
+                        bucket.append(v)
     return dist
 
 
@@ -264,10 +277,12 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
 
     targets are groups of vertex indices, and a group's time is the least
     time of its members.  The restricted search forbids the outer `margin`
-    translation layers; a group is flagged when its least restricted time
-    differs from its least full time, meaning every optimal route needs the
-    margin and the window may be too small.  Returns (group times, flagged),
-    where flagged is whether any group at a position in watched is flagged.
+    translation layers: every orbit with an end there gets an infinite
+    weight, and from a source there every restricted time is infinite.  A
+    group is flagged when its least restricted time differs from its least
+    full time, meaning every optimal route needs the margin and the window
+    may be too small.  Returns (group times, flagged), where flagged is
+    whether any group at a position in watched is flagged.
 
     Both searches stop at the groups.  The full search goes first and records
     parents; a watched group whose first least member has a parent chain
@@ -292,15 +307,22 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
             doubtful.append(g)
     if not doubtful:
         return times, False
-    restricted = _dijkstra(window, weights, src, window.interior_mask(margin).tolist(),
+    interior = window.interior_mask(margin)
+    if not interior[src]:
+        return times, any(times[g] != math.inf for g in doubtful)
+    closed = np.where(interior[window.orbit_ends].all(axis=1), config.times, math.inf)
+    restricted = _dijkstra(window, closed.tolist(), src,
                            stop=_stop_table([targets[g] for g in doubtful]))
     return times, any(min(restricted[v] for v in targets[g]) != times[g] for g in doubtful)
 
 
 def percolation_region(config: Configuration, source: Vertex, t: float) -> list:
-    """Window vertices reachable within time t from the source, in window order."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    """Window vertices reachable within time t from the source, in window order.
+
+    t = inf means every reachable vertex.
+    """
+    if not t >= 0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
     window = config.window
     dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source])
     return [v for v, d in zip(window.vertices, dist) if d <= t]

@@ -304,6 +304,8 @@ class TestExitCodes:
           "--direction", "1,0"], {}),
         (["lift-check", "--preset", "cubic3", "--kernel", "1,1,1", "--dist", "bernoulli:0.5",
           "--target-index", "1"], {}),
+        (["mu", "--preset", "cubic2", "--dist", "exponential:1", "--direction", "1,0,0"], {}),
+        (["positivity", "--preset", "cubic2", "--direction", "1"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -322,7 +324,8 @@ class TestExitCodes:
             "threads-huge", "seed-negative", "degenerate-lattice-file",
             "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index",
             "render-index-two-directions", "render-direction-two-indices",
-            "monotonicity-cover-direction", "target-short"])
+            "monotonicity-cover-direction", "target-short", "mu-direction-long",
+            "positivity-direction-short"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, request,
                                                          argv, files):
         for name, content in files.items():
@@ -352,7 +355,11 @@ class TestExitCodes:
                     "target-wrong-dim":
                         "target_index '1,0' has length 2, the quotient dimension is 1",
                     "target-short":
-                        "target_index '1' has length 1, the quotient dimension is 2"}
+                        "target_index '1' has length 1, the quotient dimension is 2",
+                    "mu-direction-long":
+                        "direction '1,0,0' has length 3, the lattice dimension is 2",
+                    "positivity-direction-short":
+                        "direction '1' has length 1, the lattice dimension is 2"}
 
     @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
     def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):

@@ -15,6 +15,7 @@ from crystalfpp.fpp import (
     DistributionError,
     TimeDistribution,
     _dijkstra,
+    _stop_table,
     moment_check,
     passage_times,
     percolation_region,
@@ -213,8 +214,11 @@ class TestPassageTimes:
 
         interior = win.interior_mask(margin).tolist()
         assert [float(t) for t in _dijkstra(win, times, src)] == bellman_ford(win, times, src)
-        assert ([float(t) for t in _dijkstra(win, times, src, interior)]
-                == bellman_ford(win, times, src, interior))
+        closed = [t if interior[a] and interior[b] else math.inf
+                  for t, (a, b) in zip(times, win.orbit_ends.tolist())]
+        restricted = bellman_ford(win, times, src, interior)
+        restricted[src] = 0.0  # a closed search still labels its source
+        assert [float(t) for t in _dijkstra(win, closed, src)] == restricted
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
@@ -277,6 +281,55 @@ class TestPassageTimes:
         assert solve([edge, farther]) == ([3.0], True)
         assert solve([farther, edge]) == ([3.0], True)
         assert solve([edge], watched=()) == ([3.0], False)
+
+    def test_margin_source_gets_no_restricted_labels(self):
+        win = window_of("cubic2", 2)
+        times = np.ones(len(win.orbit_ends))
+        origin = win.vertex_index[0, (0, 0)]
+        times[(win.orbit_ends == origin).any(axis=1)] = math.inf
+        cfg = Configuration(win, times)
+
+        def solve(z):
+            return passage_times(cfg, (0, (2, 2)), 1, targets=[[win.vertex_index[0, z]]],
+                                 watched=[0])
+
+        # from a margin source every restricted time is inf, so it matches an
+        # unreachable group and differs from every reachable one, the source too
+        assert solve((0, 0)) == ([math.inf], False)
+        assert solve((1, 1)) == ([2.0], True)
+        assert solve((2, 2)) == ([0.0], True)
+
+    @pytest.mark.parametrize("law", ["bernoulli:0.5", "bernoulli:0.9", "deterministic:1"])
+    @pytest.mark.parametrize("preset,radius", [("cubic2", 8), ("triangular", 6)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_labels_stop_exactly_with_parent_chains(self, preset, radius, law, seed):
+        win = window_of(preset, radius)
+        cfg = sample_configuration(win, TimeDistribution.parse(law), seed)
+        times = cfg.times.tolist()
+        rng = random.Random(seed)
+        n = len(win.vertices)
+        src = rng.randrange(n)
+        groups = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(4)]
+        parent = [-1] * n
+        dist = _dijkstra(win, times, src, stop=_stop_table(groups), parent=parent)
+
+        oracle = bellman_ford(win, times, src)
+        assert ([min(dist[v] for v in g) for g in groups]
+                == [min(oracle[v] for v in g) for g in groups])
+        joining = {}
+        for (a, b), w in zip(win.orbit_ends.tolist(), times):
+            joining.setdefault(frozenset((a, b)), []).append(w)
+        for v in range(n):
+            if dist[v] == math.inf:
+                continue
+            for _ in range(n):
+                if v == src:
+                    break
+                u = parent[v]
+                assert u >= 0 and any(dist[v] == dist[u] + w
+                                      for w in joining.get(frozenset((u, v)), ()))
+                v = u
+            assert v == src
 
     def test_triangle_inequality(self):
         win = window_of("cubic2", 3)
@@ -450,6 +503,13 @@ class TestPercolationRegion:
         win = window_of("cubic2", 3)
         cfg = sample_configuration(win, TimeDistribution.bernoulli(1.0), 1)
         assert len(percolation_region(cfg, (0, (0, 0)), 0.0)) == len(win.vertices)
+
+    def test_nan_time_is_rejected_and_inf_reaches_everything(self):
+        win = window_of("cubic2", 3)
+        cfg = sample_configuration(win, TimeDistribution.exponential(1), 3)
+        with pytest.raises(ValueError, match="nan"):
+            percolation_region(cfg, (0, (0, 0)), math.nan)
+        assert percolation_region(cfg, (0, (0, 0)), math.inf) == list(win.vertices)
 
     def test_nested_in_t(self):
         win = window_of("cubic2", 3)
