@@ -668,9 +668,10 @@ def _enumerate_tail(window: Window, src: int, targets: Sequence[int], relevant: 
     src and the targets, can change the least target time, so every other
     orbit stays at high and sums out to 1.  The 2^r assignments of the
     relevant orbits are visited in Gray-code order, one weight flipped in
-    place per step; each gets one search, which stops at the first settled
-    target, and the assignments are counted by (least target time, number c
-    of high relevant orbits) with probability p^(r-c)(1-p)^c.
+    place per step; each gets one search, with bucket width 1 (one bucket
+    per integer label), which stops at the first final target label, and
+    the assignments are counted by (least target time, number c of high
+    relevant orbits) with probability p^(r-c)(1-p)^c.
     Each threshold's probability is then summed once from those counts.
     """
     r = len(relevant)
@@ -686,7 +687,7 @@ def _enumerate_tail(window: Window, src: int, targets: Sequence[int], relevant: 
             is_high = (i ^ (i >> 1)) >> bit & 1
             weights[relevant[bit]] = high if is_high else low
             c += 1 if is_high else -1
-        dist = _dijkstra(window, weights, src, stop=stop)
+        dist = _dijkstra(window, weights, src, 1, stop=stop)
         counts[min(dist[k] for k in targets), c] += 1
     w = [p ** (r - c) * (1 - p) ** c for c in range(r + 1)]
     return [sum((n * w[c] for (time, c), n in counts.items() if time >= t), Fraction(0))

@@ -5,12 +5,14 @@ value-based boundary flag: a target is flagged when forbidding the outer
 margin layers changes its distance, i.e. when the window may be biasing the
 time upward.  Estimators never use flagged samples; they enlarge the window.
 passage_times asks for target groups only: the full search stops once every
-group has a settled vertex, a parent chain inside the interior certifies a
+group has a final label, a parent chain inside the interior certifies a
 group unflagged, and the margin-restricted search runs only for the groups
 left in doubt, with every orbit that touches the margin given an infinite
 time.  percolation_region is one whole-window search.  Every search is one
-_dijkstra, which queues distinct labels rather than vertices, since the
-atomic laws of the positivity question tie most labels.
+_dijkstra, a bucket queue whose buckets span one power-of-two width of
+labels, taken once per configuration from the median of a sample of its
+times: one bucket per label under integer-valued atomic laws, and a few
+vertices per bucket under continuous laws.
 """
 from __future__ import annotations
 
@@ -209,27 +211,52 @@ def sample_configuration(window: Window, distribution: TimeDistribution,
 # shortest-path passage times
 
 
-def _dijkstra(window: Window, weights, source_idx: int, stop=None, parent=None) -> list:
+def _bucket_width(times: np.ndarray) -> float:
+    """The bucket width of _dijkstra for a configuration's orbit times.
+
+    It is the largest power of two not above the median of the finite
+    positive times among at most 256 evenly strided orbits, or 1.0 when there
+    are none (all times zero or infinite).  A power of two makes label // width
+    exact and monotone.  The width is raised, if need be, so that no label,
+    which is below len(times) times the largest finite time, overflows
+    label / width.
+    """
+    step = max(1, -(-len(times) // 256))  # at most 256 orbits
+    sample = np.sort(times[::step])
+    sample = sample[(sample > 0) & (sample < math.inf)]
+    width = math.ldexp(0.5, math.frexp(sample[len(sample) // 2])[1]) if len(sample) else 1.0
+    top = times.max(initial=0.0)
+    if top == math.inf:
+        top = times[times < math.inf].max(initial=0.0)
+    return max(width, math.ldexp(1.0, math.frexp(top)[1] + len(times).bit_length() - 1023))
+
+
+def _dijkstra(window: Window, weights, source_idx: int, width: float, stop=None,
+              parent=None) -> list:
     """Single-source shortest path over the window adjacency.
 
     weights is indexed by orbit: a list of floats, or of ints for the exact
     enumeration.  An infinite weight closes its orbit, since no label ever
     arrives through it.  Returns a distance list with math.inf for
     unreachable vertices.  Each label is the least left-to-right sum over the
-    paths to its vertex, since adding a nonnegative number is monotone.
+    paths to its vertex: adding a nonnegative number is monotone, so any scan
+    that relaxes every edge of every lowered label ends at that fixpoint.
 
-    The heap holds one entry per distinct label, and a dict maps each label
-    to the vertices given it, in the order they were given it.  A pop
-    settles the label's vertices in that order, skipping those lowered since;
-    a zero-weight relaxation re-opens the label being settled, which is then
-    the least label and settles next.  Under atomic laws most labels tie, and
-    a tie costs a list append instead of a heap entry.
+    The queue is a heap of bucket numbers label // width, with a dict from
+    each number to the vertices labelled into it, first come first scanned.
+    width is a power of two, such as _bucket_width gives, or the int 1 for
+    int weights, which is Dial's bucket queue.  A bucket's vertices are
+    scanned with their current labels, skipping those since lowered below
+    the bucket; a vertex lowered inside the bucket being scanned goes to its
+    end and is scanned again.  A label equal to its bucket's floor is final
+    at once, and every other label is final once its bucket is empty.
 
     stop maps target vertices to the groups they belong to (see _stop_table):
-    the search then returns once every group has a settled vertex.  Settled
-    labels are final, so each group's least label is exact; unsettled labels
-    are only path sums.  parent, a list of -1s, records the vertex each label
-    came from: a label is its parent's label plus the edge weight.
+    the search then returns once every group has a final label, by that
+    rule, so each group's least label is exact; the other labels are only
+    path sums.  parent, a list of -1s, records the vertex each label came
+    from.  A label is at least its parent's label plus the edge weight, and
+    equal to it once final, so the parent chain of a final label sums to it.
     """
     dist = [math.inf] * len(window.vertices)
     dist[source_idx] = 0
@@ -239,26 +266,43 @@ def _dijkstra(window: Window, weights, source_idx: int, stop=None, parent=None) 
     buckets = {0: [source_idx]}
     pop, push, bucket_of = heapq.heappop, heapq.heappush, buckets.get
     while heap:
-        d = pop(heap)
-        for u in buckets.pop(d):
-            if dist[u] != d:
+        b = pop(heap)
+        bucket = buckets.pop(b)
+        floor = b * width
+        top = floor + width
+        late = []  # targets scanned here whose labels are final at the bucket's end
+        for u in bucket:
+            d = dist[u]
+            if d < floor:
                 continue
             if pending is not None and u in stop:
-                pending.difference_update(stop[u])
-                if not pending:
-                    return dist
+                if d == floor:
+                    pending.difference_update(stop[u])
+                    if not pending:
+                        return dist
+                else:
+                    late.append(u)
             for v, orbit in adj[u]:
                 nd = d + weights[orbit]
                 if nd < dist[v]:
                     dist[v] = nd
                     if parent is not None:
                         parent[v] = u
-                    bucket = bucket_of(nd)
-                    if bucket is None:
-                        buckets[nd] = [v]
-                        push(heap, nd)
-                    else:
+                    if nd < top:
                         bucket.append(v)
+                    else:
+                        k = nd // width
+                        entry = bucket_of(k)
+                        if entry is None:
+                            buckets[k] = [v]
+                            push(heap, k)
+                        else:
+                            entry.append(v)
+        if late:
+            for u in late:
+                pending.difference_update(stop[u])
+            if not pending:
+                return dist
     return dist
 
 
@@ -292,10 +336,27 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
     unreachable one included, get a restricted search.
     """
     window = config.window
-    src = window.vertex_index[source]
-    weights = config.times.tolist()
-    parent = [-1] * len(window.vertices)
-    full = _dijkstra(window, weights, src, stop=_stop_table(targets), parent=parent)
+    n = len(window.vertices)
+    src = window.vertex_index.get(source)
+    if src is None:
+        raise ValueError(f"source {source!r} is not a window vertex")
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin!r}")
+    for g, group in enumerate(targets):
+        if not group:
+            raise ValueError(f"target group {g} is empty")
+        for v in group:
+            if not 0 <= v < n:
+                raise ValueError(f"target {v!r} in group {g} is not a vertex index"
+                                 f" of the window's {n} vertices")
+    for g in watched:
+        if not 0 <= g < len(targets):
+            raise ValueError(f"watched position {g!r} is not one of the"
+                             f" {len(targets)} target groups")
+    width = _bucket_width(config.times)
+    parent = [-1] * n
+    full = _dijkstra(window, config.times.tolist(), src, width, stop=_stop_table(targets),
+                     parent=parent)
     times = [float(min(full[v] for v in group)) for group in targets]
     doubtful = []
     for g in watched:
@@ -311,7 +372,7 @@ def passage_times(config: Configuration, source: Vertex, margin: int = 1, *,
     if not interior[src]:
         return times, any(times[g] != math.inf for g in doubtful)
     closed = np.where(interior[window.orbit_ends].all(axis=1), config.times, math.inf)
-    restricted = _dijkstra(window, closed.tolist(), src,
+    restricted = _dijkstra(window, closed.tolist(), src, width,
                            stop=_stop_table([targets[g] for g in doubtful]))
     return times, any(min(restricted[v] for v in targets[g]) != times[g] for g in doubtful)
 
@@ -324,5 +385,6 @@ def percolation_region(config: Configuration, source: Vertex, t: float) -> list:
     if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     window = config.window
-    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source])
+    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source],
+                     _bucket_width(config.times))
     return [v for v, d in zip(window.vertices, dist) if d <= t]

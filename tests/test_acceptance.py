@@ -29,6 +29,7 @@ from crystalfpp.estimate import (
 from crystalfpp.fpp import (
     MomentConditionError,
     TimeDistribution,
+    _bucket_width,
     _dijkstra,
     sample_configuration,
     passage_times,
@@ -242,7 +243,7 @@ def test_09_oracle_equivalence():
             src_idx = win.vertex_index[src]
             for seed in range(50):
                 cfg = sample_configuration(win, EXP1, seed)
-                engine = _dijkstra(win, cfg.times, src_idx)
+                engine = _dijkstra(win, cfg.times, src_idx, _bucket_width(cfg.times))
                 oracle = bellman_ford(win, cfg.times, src_idx)
                 assert [float(t) for t in engine] == oracle
 
@@ -261,10 +262,10 @@ def test_10_translation_invariance():
         sample_b = np.empty(n_half)
         for i in range(n_half):
             cfg = sample_configuration(win, EXP1, replica_seed(999, i))
-            sample_a[i] = _dijkstra(win, cfg.times, src_a)[tgt_a]
+            sample_a[i] = _dijkstra(win, cfg.times, src_a, _bucket_width(cfg.times))[tgt_a]
         for i in range(n_half):
             cfg = sample_configuration(win, EXP1, replica_seed(999, n_half + i))
-            sample_b[i] = _dijkstra(win, cfg.times, src_b)[tgt_b]
+            sample_b[i] = _dijkstra(win, cfg.times, src_b, _bucket_width(cfg.times))[tgt_b]
         result = scipy.stats.ks_2samp(sample_a, sample_b)
         assert result.pvalue >= 0.01, result
 

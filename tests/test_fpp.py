@@ -14,6 +14,7 @@ from crystalfpp.fpp import (
     Configuration,
     DistributionError,
     TimeDistribution,
+    _bucket_width,
     _dijkstra,
     _stop_table,
     moment_check,
@@ -33,7 +34,8 @@ def window_of(preset, radius):
 
 def whole_window(cfg, source):
     """Passage times from source to every window vertex."""
-    return _dijkstra(cfg.window, cfg.times.tolist(), cfg.window.vertex_index[source])
+    return _dijkstra(cfg.window, cfg.times.tolist(), cfg.window.vertex_index[source],
+                     _bucket_width(cfg.times))
 
 
 def random_lattice(data):
@@ -69,6 +71,11 @@ def random_window_times(data):
         st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.5, 1e-17])),
         min_size=len(win.orbit_keys), max_size=len(win.orbit_keys)))
     return win, times
+
+
+# laws for the bucket-width tests; None keeps random_window_times' own times
+WIDTH_LAWS = (None, "exponential:100", "uniform:0,0.001", "pareto:0.3,1",
+              "deterministic:0.3", "bernoulli:0.9", "bernoulli:0.5,1,3")
 
 
 class TestDistributions:
@@ -213,12 +220,14 @@ class TestPassageTimes:
         margin = data.draw(st.integers(0, 2))
 
         interior = win.interior_mask(margin).tolist()
-        assert [float(t) for t in _dijkstra(win, times, src)] == bellman_ford(win, times, src)
+        width = _bucket_width(np.array(times))
+        assert ([float(t) for t in _dijkstra(win, times, src, width)]
+                == bellman_ford(win, times, src))
         closed = [t if interior[a] and interior[b] else math.inf
                   for t, (a, b) in zip(times, win.orbit_ends.tolist())]
         restricted = bellman_ford(win, times, src, interior)
         restricted[src] = 0.0  # a closed search still labels its source
-        assert [float(t) for t in _dijkstra(win, closed, src)] == restricted
+        assert [float(t) for t in _dijkstra(win, closed, src, width)] == restricted
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.data())
@@ -299,7 +308,8 @@ class TestPassageTimes:
         assert solve((1, 1)) == ([2.0], True)
         assert solve((2, 2)) == ([0.0], True)
 
-    @pytest.mark.parametrize("law", ["bernoulli:0.5", "bernoulli:0.9", "deterministic:1"])
+    @pytest.mark.parametrize("law", ["bernoulli:0.5", "bernoulli:0.9", "deterministic:1",
+                                     "exponential:1", "uniform:0.5,1.5"])
     @pytest.mark.parametrize("preset,radius", [("cubic2", 8), ("triangular", 6)])
     @pytest.mark.parametrize("seed", range(5))
     def test_tied_labels_stop_exactly_with_parent_chains(self, preset, radius, law, seed):
@@ -311,7 +321,8 @@ class TestPassageTimes:
         src = rng.randrange(n)
         groups = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(4)]
         parent = [-1] * n
-        dist = _dijkstra(win, times, src, stop=_stop_table(groups), parent=parent)
+        dist = _dijkstra(win, times, src, _bucket_width(cfg.times), stop=_stop_table(groups),
+                         parent=parent)
 
         oracle = bellman_ford(win, times, src)
         assert ([min(dist[v] for v in g) for g in groups]
@@ -330,6 +341,71 @@ class TestPassageTimes:
                                       for w in joining.get(frozenset((u, v)), ()))
                 v = u
             assert v == src
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_labels_do_not_depend_on_the_bucket_width(self, data):
+        win, times = random_window_times(data)
+        law = data.draw(st.sampled_from(WIDTH_LAWS))
+        if law is not None:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            times = TimeDistribution.parse(law).sample(rng, len(times)).tolist()
+        for j in data.draw(st.lists(st.integers(0, len(times) - 1), max_size=6)):
+            times[j] = data.draw(st.sampled_from([0.0, math.inf]))
+        src = data.draw(st.integers(0, len(win.vertices) - 1))
+
+        oracle = bellman_ford(win, times, src)
+        for width in (2.0**-12, 1.0, 2.0**12, _bucket_width(np.array(times))):
+            assert [float(t) for t in _dijkstra(win, times, src, width)] == oracle
+
+    def test_bucket_width_is_a_power_of_two_near_the_median(self):
+        win = window_of("cubic2", 8)
+        for law in WIDTH_LAWS[1:] + ("exponential:1", "uniform:0.5,1.5"):
+            for seed in range(3):
+                width = _bucket_width(sample_configuration(
+                    win, TimeDistribution.parse(law), seed).times)
+                assert width > 0 and math.frexp(width)[0] == 0.5, (law, width)
+        n = len(win.orbit_ends)
+        assert _bucket_width(np.zeros(n)) == 1.0
+        assert _bucket_width(np.full(n, math.inf)) == 1.0
+        for seed in range(10):
+            times = sample_configuration(win, TimeDistribution.pareto(0.3), seed).times
+            median = np.median(times)
+            assert median / 4 <= _bucket_width(times) <= median * 4
+
+    def test_bucket_width_keeps_labels_finite_when_times_span_the_float_range(self):
+        # the least subnormal everywhere but at the source, whose orbits take 1e300:
+        # the median alone would give labels whose quotient by the width is inf
+        win = window_of("cubic2", 3)
+        src = win.vertex_index[0, (0, 0)]
+        times = np.full(len(win.orbit_ends), 5e-324)
+        times[(win.orbit_ends == src).any(axis=1)] = 1e300
+        dist = _dijkstra(win, times.tolist(), src, _bucket_width(times))
+        assert dist == bellman_ford(win, times, src)
+        assert sorted(set(dist)) == [0, 1e300]
+
+    def test_bad_input_is_a_value_error_naming_the_value(self):
+        win = window_of("cubic2", 2)
+        cfg = sample_configuration(win, TimeDistribution.deterministic(1), 1)
+        n = len(win.vertices)
+
+        def solve(source=(0, (0, 0)), margin=1, targets=((0,),), watched=()):
+            return passage_times(cfg, source, margin, targets=targets, watched=watched)
+
+        with pytest.raises(ValueError, match=r"target -1 in group 0 "):
+            solve(targets=[[-1]])
+        with pytest.raises(ValueError, match=rf"target {n} in group 1 .*{n} vertices"):
+            solve(targets=[[0], [1, n]])
+        with pytest.raises(ValueError, match=r"target group 1 is empty"):
+            solve(targets=[[0], []])
+        with pytest.raises(ValueError, match=r"margin must be nonnegative, got -1"):
+            solve(margin=-1)
+        for g in (1, -1):
+            with pytest.raises(ValueError, match=rf"watched position {g} is not one of the 1"):
+                solve(watched=[g])
+        with pytest.raises(ValueError, match=r"source \(0, \(3, 3\)\) is not a window vertex"):
+            solve(source=(0, (3, 3)))
+        assert solve(targets=[[win.vertex_index[0, (2, 2)]]], watched=[0]) == ([4.0], True)
 
     def test_triangle_inequality(self):
         win = window_of("cubic2", 3)
