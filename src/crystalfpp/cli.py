@@ -243,7 +243,12 @@ def _resolve_distribution(config: dict) -> TimeDistribution:
 
 
 def _threads(config: dict) -> int:
-    return int(config.get("threads") or os.cpu_count() or 1)
+    """The threads key, or else the CPUs this process may run on."""
+    if config.get("threads"):
+        return int(config["threads"])
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=int, help="window radius (lattice/quotient)")
         p.add_argument("--out", dest="out_dir", help="artifact directory")
         p.add_argument("--threads", type=int,
-                       help="worker processes (default: machine parallelism)")
+                       help="processes that solve replicas, this one included: N starts a"
+                            " pool of N - 1 (default: the CPUs this process may run on)")
         p.add_argument("--slack", dest="slack_std_errors", type=float,
                        help="verdict slack in standard errors")
         p.add_argument("--max-coord", dest="max_coord", type=int)

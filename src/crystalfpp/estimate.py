@@ -11,8 +11,11 @@ serial and parallel runs produce identical output.
 Each estimator solves all its directions in one batch of replicas per side
 (_unflagged_replicas): one search per replica reaches every direction's target
 groups, and only the replicas flagged at the window boundary rerun, for every
-direction, on an enlarged window.  A replica keeps its edge times when its
-window grows (see fpp.sample_configuration), so the replicas stay i.i.d.
+direction, on an enlarged window.  A positivity grid is one batch as well, of
+(p, replica) pairs that share each window.  A replica keeps its edge times
+when its window grows (see fpp.sample_configuration), so the replicas stay
+i.i.d.  With workers > 1, a batch's calling process solves replicas beside a
+pool of workers - 1 forked processes (_map_replicas).
 """
 from __future__ import annotations
 
@@ -146,29 +149,44 @@ def _pool_init(payload):
     _POOL_PAYLOAD = payload
 
 
-def _pool_call(i):
+def _pool_chunk(chunk):
     fn, ctx = _POOL_PAYLOAD
-    return fn(ctx, i)
+    return [fn(ctx, i) for i in chunk]
 
 
 def _map_replicas(fn, ctx, indices, workers: int) -> list:
     """[fn(ctx, i) for i in indices], in that order.
 
-    With workers > 1 a pool of min(workers, len(indices)) processes is used;
-    results are identical to the serial run because every replica derives its
-    stream from its own index and the pool's results are read in order.  The
-    pool is shut down before the call returns, so no worker outlives it.
+    With workers > 1, min(workers, len(indices)) processes solve the indices
+    in chunks of len(indices) // (4 workers): a pool of one process fewer
+    takes chunks from the front, and the calling process takes them from the
+    back, cancelling each chunk in the pool before it solves it, until it
+    reaches a chunk the pool has started.  Results are identical to the
+    serial run because every replica derives its stream from its own index
+    and the chunks are read in order.  The pool is shut down before the call
+    returns, so no worker outlives it.
     """
     indices = list(indices)
     workers = min(workers, len(indices))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2:
+        return [fn(ctx, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=((fn, ctx),)) as ex:
-            return list(ex.map(_pool_call, indices,
-                               chunksize=max(1, len(indices) // (workers * 4))))
-    return [fn(ctx, i) for i in indices]
+    size = max(1, len(indices) // (workers * 4))
+    chunks = [indices[start:start + size] for start in range(0, len(indices), size)]
+    pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_pool_init,
+                               initargs=((fn, ctx),))
+    try:
+        futures = [pool.submit(_pool_chunk, chunk) for chunk in chunks]
+        solved = {}
+        for k in reversed(range(len(chunks))):
+            if not futures[k].cancel():
+                break
+            solved[k] = [fn(ctx, i) for i in chunks[k]]
+        return [result for k, future in enumerate(futures)
+                for result in (solved[k] if k in solved else future.result())]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float]:
@@ -196,40 +214,49 @@ MAX_ENLARGEMENTS = 4  # beyond this a flagged window is an error, not a larger r
 POOL_MIN_SHARE = 2    # replicas per pool worker: starting one costs about one solve
 
 
-def _replica_times(ctx, i):
-    """Replica i's target group times, and whether a watched group is flagged."""
-    window, distribution, base_seed, role, source, groups, watched = ctx
+def _replica_times(ctx, index):
+    """Target group times of one (law, replica) pair, and whether a watched
+    group is flagged.  index = law * replicas + replica, so a one-law batch
+    indexes its replicas directly."""
+    window, laws, base_seed, replicas, source, groups, watched = ctx
+    law, i = divmod(index, replicas)
+    distribution, role = laws[law]
     config = sample_configuration(window, distribution, replica_seed(base_seed, i, role))
     return passage_times(config, source, MARGIN, targets=groups, watched=watched)
 
 
-def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
-                        distribution: TimeDistribution, reach: int, targets,
-                        replicas: int, base_seed: int, seed_role: int, workers: int):
-    """Every direction's group times per replica, each replica's taken on the
-    first window where it is unflagged.
+def _unflagged_replicas(lattice: CrystalLattice, realization: Realization, laws,
+                        reach: int, targets, replicas: int, base_seed: int, workers: int):
+    """Every law's and direction's group times per replica, each replica's
+    taken on the first window where it is unflagged.
 
+    laws lists (distribution, seed role) pairs; replica i of a law samples
+    that distribution from stream (base_seed, i, role), so a batch of several
+    laws gives each law the values a batch of that law alone gives.
     targets(window) gives each direction's groups of vertex indices; a group's
-    time is the least time of its members.  One search per replica serves all
-    the groups, and the replica is flagged when the last group of any
-    direction is (see fpp.passage_times).  The first window is [-R, R]^d,
-    R = reach + MARGIN + SLACK_LAYERS, where reach bounds the targets'
-    translation coordinates.  Every pending replica runs on the window and
-    the unflagged ones keep their times; the flagged ones rerun, for every
+    time is the least time of its members.  One search per (law, replica)
+    pair serves all the groups, and the pair is flagged when the last group
+    of any direction is (see fpp.passage_times).  The first window is
+    [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach bounds the
+    targets' translation coordinates.  Every pending pair runs on the window
+    and the unflagged ones keep their times; the flagged ones rerun, for every
     direction, on the window with R grown by max(2, R // 2), at most
     MAX_ENLARGEMENTS times.  A replica's configuration on a window is its
     configuration on any larger window restricted to it, so its kept value is
     a function of its own edge times and the replicas stay i.i.d.; drawing
     the flagged replicas afresh instead would select on the flag.  A batch
-    starts at most one pool worker per POOL_MIN_SHARE replicas, so a handful
-    of flagged replicas reruns serially, without forked window copies.  Returns
-    (per direction, the per-replica group times and the groups on the last
-    window; its R; enlargements; per-replica R).
+    runs on at most one process per POOL_MIN_SHARE pairs, the calling process
+    included, so a handful of flagged pairs reruns serially, without forked
+    window copies.  Returns (the groups of every direction on the last window;
+    per law, the per-direction per-replica group times, the enlargements its
+    replicas needed and each replica's R).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
     radius = reach + MARGIN + SLACK_LAYERS
-    kept, radii = [None] * replicas, [0] * replicas
-    pending = range(replicas)
+    kept = [[None] * replicas for _ in laws]
+    radii = [[0] * replicas for _ in laws]
+    spent = [0] * len(laws)
+    pending = range(len(laws) * replicas)
     enlargements = 0
     while True:
         window = instantiate_window(lattice, realization, radius)
@@ -238,19 +265,21 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization,
         if not all(groups):
             raise EstimatorError("no target vertex inside the window")
         ends = list(accumulate(map(len, per_direction)))
-        ctx = (window, distribution, base_seed, seed_role, source, groups, [e - 1 for e in ends])
+        ctx = (window, laws, base_seed, replicas, source, groups, [e - 1 for e in ends])
         results = _map_replicas(_replica_times, ctx, pending,
                                 min(workers, max(1, len(pending) // POOL_MIN_SHARE)))
         flagged = []
-        for i, (times, flag) in zip(pending, results):
+        for index, (times, flag) in zip(pending, results):
             if flag:
-                flagged.append(i)
+                flagged.append(index)
             else:
-                kept[i], radii[i] = times, radius
+                law, i = divmod(index, replicas)
+                kept[law][i], radii[law][i], spent[law] = times, radius, enlargements
         if not flagged:
-            return ([[times[start:end] for times in kept]
-                     for start, end in zip([0] + ends, ends)],
-                    per_direction, radius, enlargements, radii)
+            return per_direction, [
+                ([[times[start:end] for times in law_kept]
+                  for start, end in zip([0] + ends, ends)], law_spent, tuple(law_radii))
+                for law_kept, law_spent, law_radii in zip(kept, spent, radii)]
         enlargements += 1
         if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
@@ -313,6 +342,16 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
     moment condition for the shape theorem fails, with the analytic witness
     in the error.
     """
+    return _time_constants(lattice, realization, [(distribution, seed_role)], directions,
+                           k_max, replicas, base_seed, workers)[0]
+
+
+def _time_constants(lattice: CrystalLattice, realization: Realization, laws,
+                    directions: Sequence[Sequence], k_max: int, replicas: int,
+                    base_seed: int, workers: int) -> list[list[TimeConstantEstimate]]:
+    """estimate_time_constant for every (distribution, seed role) of laws, in
+    one batch of _unflagged_replicas: per law, what a call with that
+    distribution and seed role returns."""
     if k_max < 1 or replicas < 1:
         raise ValueError("k_max and replicas must be positive")
     parsed = [rational_direction(direction) for direction in directions]
@@ -322,27 +361,31 @@ def estimate_time_constant(lattice: CrystalLattice, realization: Realization,
         if len(direction) != lattice.dim:
             raise ValueError(f"direction {','.join(map(str, direction))!r} has length"
                              f" {len(direction)}, the lattice dimension is {lattice.dim}")
-    witness = _moment_guard(lattice, realization, distribution)
+    witnesses = [_moment_guard(lattice, realization, distribution) for distribution, _ in laws]
 
     u0 = lattice.base.vertices[0]
-    per_direction, _, radius, enlargements, radii = _unflagged_replicas(
-        lattice, realization, distribution,
+    _, batches = _unflagged_replicas(
+        lattice, realization, laws,
         k_max * max(abs(c) for _, _, step in parsed for c in step),
         lambda w: [[[w.vertex_index[u0, tuple(k * c for c in step)]]
                     for k in range(1, k_max + 1)] for _, _, step in parsed],
-        replicas, base_seed, seed_role, workers)
+        replicas, base_seed, workers)
 
-    estimates = []
-    for (coords, n_scale, step), results in zip(parsed, per_direction):
-        samples = tuple(per_k[-1] / (k_max * n_scale) for per_k in results)
-        trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
-                      for k in range(1, k_max + 1))
-        point, se = _mean_se(samples)
-        estimates.append(TimeConstantEstimate(
-            direction=coords, scale=n_scale, step=step, point_estimate=point, std_error=se,
-            samples=samples, trace=trace, k_max=k_max, replicas=replicas, radius_used=radius,
-            replica_radii=tuple(radii), enlargements=enlargements, moment_witness=witness))
-    return estimates
+    per_law = []
+    for witness, (per_direction, enlargements, radii) in zip(witnesses, batches):
+        estimates = []
+        for (coords, n_scale, step), results in zip(parsed, per_direction):
+            samples = tuple(per_k[-1] / (k_max * n_scale) for per_k in results)
+            trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
+                          for k in range(1, k_max + 1))
+            point, se = _mean_se(samples)
+            estimates.append(TimeConstantEstimate(
+                direction=coords, scale=n_scale, step=step, point_estimate=point,
+                std_error=se, samples=samples, trace=trace, k_max=k_max, replicas=replicas,
+                radius_used=max(radii), replica_radii=radii, enlargements=enlargements,
+                moment_witness=witness))
+        per_law.append(estimates)
+    return per_law
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +501,15 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
         raise EstimatorError("no directions to estimate")
 
     u0 = lattice.base.vertices[0]
-    per_direction, _, radius, _, radii = _unflagged_replicas(
-        lattice, realization, distribution,
+    _, ((per_direction, _, radii),) = _unflagged_replicas(
+        lattice, realization, [(distribution, 0)],
         k_max * max(max(abs(c) for c in z) for z in dirs),
         lambda w: [[[w.vertex_index[u0, tuple(k_max * c for c in z)]]] for z in dirs],
-        replicas, base_seed, 0, workers)
+        replicas, base_seed, workers)
     samples = np.array([[t for (t,) in results] for results in per_direction]).T / k_max
     return ShapeEstimate.from_samples(
         realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
-        radius_used=radius, replica_radii=tuple(radii))
+        radius_used=max(radii), replica_radii=radii)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +574,12 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
     target1s = [tuple(k_max * c for c in est1.step) for est1 in quotient_estimates]
     # a window around every Euclidean foot of the preimage affine subspaces
     feet = [qdata.p_matrix.T @ (rho1 @ np.array(target1, dtype=float)) for target1 in target1s]
-    per_direction, fibers, radius, _, radii = _unflagged_replicas(
-        lattice, realization, distribution,
+    fibers, ((per_direction, _, radii),) = _unflagged_replicas(
+        lattice, realization, [(distribution, 0)],
         max(int(np.ceil(np.max(np.abs(rho_inv @ foot)))) for foot in feet) + FIBER_HALO,
         lambda w: [[[w.vertex_index[v] for v in covering_fiber(qdata, (u0, target1), w)]]
                    for target1 in target1s],
-        replicas, base_seed, 0, workers)
+        replicas, base_seed, workers)
 
     entries = []
     for est1, results, (fiber_idx,) in zip(quotient_estimates, per_direction, fibers):
@@ -545,8 +588,8 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
             direction=est1.direction, mu_quotient=est1.point_estimate,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,
             slack=_slack(slack_z, se_a, est1.std_error), fiber_size=len(fiber_idx),
-            radius_cover=radius, replica_radii_quotient=est1.replica_radii,
-            replica_radii_cover=tuple(radii)))
+            radius_cover=max(radii), replica_radii_quotient=est1.replica_radii,
+            replica_radii_cover=radii))
     return MonotonicityReport(qdata, tuple(entries), replicas)
 
 
@@ -761,8 +804,10 @@ def lifting_inequality_check(lattice: CrystalLattice, realization: Realization,
     # each side's least target time per replica; no group is watched, so no flag
     quotient_times, fiber_mins = (
         [t for (t,), _ in _map_replicas(_replica_times, ctx, range(replicas), workers)]
-        for ctx in ((window1, distribution, base_seed, 1, source1, [[target1_idx]], ()),
-                    (window_x, distribution, base_seed, 0, source_x, [fiber_idx], ())))
+        for ctx in ((window1, [(distribution, 1)], base_seed, replicas, source1,
+                     [[target1_idx]], ()),
+                    (window_x, [(distribution, 0)], base_seed, replicas, source_x,
+                     [fiber_idx], ())))
     rows = []
     for t in thresholds:
         lhs_hat = sum(t1 >= t for t1 in quotient_times) / replicas
@@ -802,13 +847,16 @@ def positivity_scan(lattice: CrystalLattice, realization: Realization,
 
     Larger atoms at zero can only lower the time constant; the report checks
     the estimates are nonincreasing within slack and flags the p values whose
-    estimate is statistically indistinguishable from zero.
+    estimate is statistically indistinguishable from zero.  The whole grid is
+    one batch of _unflagged_replicas: every p shares one window per radius,
+    and only the flagged (p, replica) pairs rerun.  The j-th p keeps seed
+    role j, so its row is that of estimate_time_constant with
+    bernoulli(p_j) and seed_role=j.
     """
+    laws = [(TimeDistribution.bernoulli(p), idx) for idx, p in enumerate(p_grid)]
     rows = []
-    for idx, p in enumerate(p_grid):
-        est, = estimate_time_constant(
-            lattice, realization, TimeDistribution.bernoulli(p), [direction],
-            k_max, replicas, base_seed, seed_role=idx, workers=workers)
+    for p, (est,) in zip(p_grid, _time_constants(lattice, realization, laws, [direction],
+                                                 k_max, replicas, base_seed, workers)):
         zero = est.point_estimate <= _slack(slack_z, est.std_error)
         rows.append(PositivityRow(float(p), est.point_estimate, est.std_error, zero))
     ok = all(b.mu <= a.mu + _slack(slack_z, a.std_error, b.std_error)

@@ -385,6 +385,8 @@ def percolation_region(config: Configuration, source: Vertex, t: float) -> list:
     if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     window = config.window
-    dist = _dijkstra(window, config.times.tolist(), window.vertex_index[source],
-                     _bucket_width(config.times))
+    src = window.vertex_index.get(source)
+    if src is None:
+        raise ValueError(f"source {source!r} is not a window vertex")
+    dist = _dijkstra(window, config.times.tolist(), src, _bucket_width(config.times))
     return [v for v, d in zip(window.vertices, dist) if d <= t]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalfpp
+import crystalfpp.cli as cli_module
 import crystalfpp.estimate as estimate_module
 from crystalfpp.cli import (
     ConfigError,
@@ -432,13 +433,44 @@ class TestReproducibility:
         assert all(lines_a[i].startswith("# timing:") for i in diff)
 
     def test_threads_do_not_change_results(self, tmp_path):
-        base = ["mu", "--preset", "cubic2", "--dist", "exponential:1",
-                "--direction", "1,0", "--k-max", "5", "--replicas", "8",
-                "--seed", "4"]
-        run_cli(base + ["--threads", "1", "--out", str(tmp_path / "serial")])
-        run_cli(base + ["--threads", "2", "--out", str(tmp_path / "par")])
-        assert ((tmp_path / "serial" / "detail.csv").read_bytes()
-                == (tmp_path / "par" / "detail.csv").read_bytes())
+        for base in (["mu", "--preset", "cubic2", "--dist", "exponential:1",
+                      "--direction", "1,0", "--k-max", "5", "--replicas", "8"],
+                     ["shape", "--preset", "triangular", "--dist", "exponential:1",
+                      "--dirs", "8", "--k-max", "4", "--replicas", "8"],
+                     ["positivity", "--preset", "cubic2", "--p-grid", "0.3,0.5,0.7",
+                      "--direction", "1,0", "--k-max", "5", "--replicas", "8"]):
+            runs = [tmp_path / f"{base[0]}-{threads}" for threads in (1, 2)]
+            for threads, out in zip((1, 2), runs):
+                assert run_cli(base + ["--seed", "4", "--threads", str(threads),
+                                       "--out", str(out)]) in (0, 2)
+            serial, pooled = runs
+            assert (serial / "detail.csv").read_bytes() == (pooled / "detail.csv").read_bytes()
+            summaries = [[line for line in (out / "summary.txt").read_text().splitlines()
+                          if not line.startswith("# timing:")] for out in runs]
+            assert summaries[0] == summaries[1]
+        assert not multiprocessing.active_children()
+
+    def test_threads_default_to_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli_module._threads({}) == 1
+        assert cli_module._threads({"threads": 5}) == 5
+        # a run pinned to one CPU forks no pool at all
+        workers = []
+        original = estimate_module._map_replicas
+        monkeypatch.setattr(estimate_module, "_map_replicas",
+                            lambda fn, ctx, indices, n: workers.append(n)
+                            or original(fn, ctx, indices, n))
+        result = run_experiment({"experiment": "mu", "preset": "cubic2", "direction": "1,0",
+                                 "distribution": "exponential:1", "k_max": 3,
+                                 "replicas": 8})
+        assert result.exit_code == 0 and workers and set(workers) == {1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        assert cli_module._threads({}) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli_module._threads({}) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli_module._threads({}) == 1
 
 
 # seeded runs of every subcommand, each with the sha256 of its artifacts as

@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -794,6 +796,49 @@ class TestWindowEnlargement:
         assert set(entry.replica_radii_quotient) == {7}
         assert len(entry.replica_radii_cover) == len(entry.replica_radii_quotient) == 10
 
+    # a grid whose first window flags pairs of two of its three p values
+    GRID = [0.3, 0.5, 0.7]
+
+    def _grid_run(self, workers=1):
+        lat, real = build_preset("cubic2")
+        return positivity_scan(lat, real, self.GRID, (1, 0), 5, 10, 3, workers=workers).rows
+
+    def test_a_positivity_grid_is_one_batch_per_window(self, returned, monkeypatch):
+        built = []  # the radius of every window built
+        original = estimate_module.instantiate_window
+        monkeypatch.setattr(estimate_module, "instantiate_window",
+                            lambda *args: built.append(args[2]) or original(*args))
+        rows = self._grid_run()
+        assert built == [6, 9]  # one window per radius for the whole grid
+        assert [ctx[0].radius for _, ctx, _, _ in returned] == built
+        (fn, ctx, first, results), (_, next_ctx, rerun, _) = returned
+        assert first == list(range(30))  # (p index) * 10 + replica
+        assert results == [fn(ctx, i) for i in first]
+        assert rerun == [i for i, (_, flagged) in zip(first, results) if flagged]
+        assert sorted({i // 10 for i in rerun}) == [1, 2]
+        assert next_ctx[1:4] == ctx[1:4]  # the laws, the base seed and the replicas
+
+        # each row is bit for bit the one-p estimate with that p's seed role,
+        # which builds its own windows
+        lat, real = build_preset("cubic2")
+        del built[:]
+        for idx, (p, row) in enumerate(zip(self.GRID, rows)):
+            est, = estimate_time_constant(lat, real, TimeDistribution.bernoulli(p), [(1, 0)],
+                                          5, 10, 3, seed_role=idx)
+            assert (row.p, row.mu, row.std_error) == (p, est.point_estimate, est.std_error)
+        assert built == [6, 6, 9, 6, 9]
+
+    def test_a_positivity_grid_in_a_pool_equals_the_serial_grid(self, returned):
+        assert self._grid_run(workers=2) == self._grid_run()
+        assert [(len(idx), ctx[0].radius) for _, ctx, idx, _ in returned] == [
+            (30, 6), (3, 9)] * 2
+        assert not multiprocessing.active_children()
+
+    def test_a_positivity_grid_raises_when_no_enlargement_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(estimate_module, "MAX_ENLARGEMENTS", 0)
+        with pytest.raises(EstimatorError, match="boundary flags persisted"):
+            self._grid_run()
+
     def test_shape_builds_no_orbit_keys(self, monkeypatch):
         built = []
         original = estimate_module.instantiate_window
@@ -808,29 +853,58 @@ class TestWindowEnlargement:
         assert not any("orbit_keys" in w.__dict__ for w in built)
 
 
+def _index_and_pid(pause, i):
+    time.sleep(pause)
+    return i, os.getpid()
+
+
 class TestReplicaMap:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """max_workers of every process pool opened; the fake starts no process."""
-        sizes = []
+        """Every process pool opened; the fake starts no process.  Like a real
+        pool, it starts its first max_workers chunks when they are submitted,
+        the others when their result is asked for, and records the chunks it
+        solves."""
+
+        class FakeFuture:
+            def __init__(self, pool, chunk):
+                self.pool, self.chunk, self.state = pool, chunk, "pending"
+
+            def run(self):
+                self.pool.solved.append(self.chunk)
+                self.value, self.state = self.pool.fn(self.chunk), "finished"
+
+            def cancel(self):
+                if self.state == "pending":
+                    self.state = "cancelled"
+                return self.state == "cancelled"
+
+            def result(self):
+                if self.state == "pending":
+                    self.run()
+                return self.value
 
         class FakePool:
             def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
+                self.max_workers, self.solved, self.futures = max_workers, [], []
+                self.shut_down = False
                 initializer(*initargs)
+                opened.append(self)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, chunk):
+                self.fn = fn
+                self.futures.append(FakeFuture(self, chunk))
+                if len(self.futures) <= self.max_workers:
+                    self.futures[-1].run()
+                return self.futures[-1]
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                self.shut_down = True
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
+        opened = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(estimate_module, "_POOL_PAYLOAD", None)
-        return sizes
+        return opened
 
     def test_pool_is_capped_by_the_replica_count(self, pools):
         def fn(ctx, i):
@@ -839,7 +913,38 @@ class TestReplicaMap:
         assert estimate_module._map_replicas(fn, 10, range(3), 1000) == [0, 10, 20]
         assert estimate_module._map_replicas(fn, 10, [7], 1000) == [70]
         assert estimate_module._map_replicas(fn, 10, [1, 4, 9, 3, 5], 4) == [10, 40, 90, 30, 50]
-        assert pools == [3, 4]
+        # the calling process is one of the workers, so the pool has one fewer
+        assert [pool.max_workers for pool in pools] == [2, 3]
+
+    def test_the_caller_solves_chunks_from_the_back(self, pools):
+        solved = []
+
+        def fn(ctx, i):
+            solved.append(i)
+            return ctx * i
+
+        # 40 indices on 2 processes: chunks of 40 // 8 = 5
+        assert estimate_module._map_replicas(fn, 3, range(40), 2) == [3 * i for i in range(40)]
+        pool, = pools
+        assert pool.max_workers == 1 and pool.shut_down
+        assert pool.solved == [[0, 1, 2, 3, 4]]
+        # the caller cancelled chunks 7, 6, ..., 1 in the pool and solved them
+        assert solved[5:] == [i for k in range(7, 0, -1) for i in range(5 * k, 5 * k + 5)]
+        assert [f.state for f in pool.futures] == ["finished"] + ["cancelled"] * 7
+
+    def test_the_caller_stops_at_a_chunk_the_pool_started(self, pools):
+        # 12 indices on 3 processes: chunks of 1, and a pool of 2 starts two
+        assert estimate_module._map_replicas(pow, 2, range(12), 3) == [2 ** i for i in range(12)]
+        pool, = pools
+        assert pool.solved == [[0], [1]]
+        assert [f.state for f in pool.futures] == ["finished"] * 2 + ["cancelled"] * 10
+
+    def test_the_caller_is_one_of_the_processes(self):
+        results = estimate_module._map_replicas(_index_and_pid, 0.01, range(40), 2)
+        assert [i for i, _ in results] == list(range(40))
+        pids = {pid for _, pid in results}
+        assert os.getpid() in pids and len(pids) <= 2
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_maps_the_given_indices_in_order(self, workers):

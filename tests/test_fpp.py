@@ -403,8 +403,10 @@ class TestPassageTimes:
         for g in (1, -1):
             with pytest.raises(ValueError, match=rf"watched position {g} is not one of the 1"):
                 solve(watched=[g])
-        with pytest.raises(ValueError, match=r"source \(0, \(3, 3\)\) is not a window vertex"):
-            solve(source=(0, (3, 3)))
+        for outside in (lambda: solve(source=(0, (3, 3))),
+                        lambda: percolation_region(cfg, (0, (3, 3)), 1.0)):
+            with pytest.raises(ValueError, match=r"source \(0, \(3, 3\)\) is not a window vertex"):
+                outside()
         assert solve(targets=[[win.vertex_index[0, (2, 2)]]], watched=[0]) == ([4.0], True)
 
     def test_triangle_inequality(self):
