@@ -14,8 +14,8 @@ groups, and only the replicas flagged at the window boundary rerun, for every
 direction, on an enlarged window.  A positivity grid is one batch as well, of
 (p, replica) pairs that share each window.  A replica keeps its edge times
 when its window grows (see fpp.sample_configuration), so the replicas stay
-i.i.d.  With workers > 1, a batch's calling process solves replicas beside a
-pool of workers - 1 forked processes (_map_replicas).
+i.i.d.  With workers > 1, a batch's calling process solves one strided share
+of its replicas beside a forked pool that solves the others (_map_replicas).
 """
 from __future__ import annotations
 
@@ -157,34 +157,30 @@ def _pool_chunk(chunk):
 def _map_replicas(fn, ctx, indices, workers: int) -> list:
     """[fn(ctx, i) for i in indices], in that order.
 
-    With workers > 1, min(workers, len(indices)) processes solve the indices
-    in chunks of len(indices) // (4 workers): a pool of one process fewer
-    takes chunks from the front, and the calling process takes them from the
-    back, cancelling each chunk in the pool before it solves it, until it
-    reaches a chunk the pool has started.  Results are identical to the
-    serial run because every replica derives its stream from its own index
-    and the chunks are read in order.  The pool is shut down before the call
-    returns, so no worker outlives it.
+    The indices run on p = min(workers, len(indices) // POOL_MIN_SHARE)
+    processes, at least one, and process k solves the strided share
+    indices[k::p]: the calling process share 0, a pool of p - 1 processes
+    the others, one submit each.  Striding gives every process its part of
+    every law of a positivity grid (index = law * replicas + replica), whose
+    searches cost differently.  Results equal the serial run's because every
+    replica derives its stream from its own index.  The pool is shut down
+    before the call returns, so no worker outlives it.
     """
     indices = list(indices)
-    workers = min(workers, len(indices))
-    if workers < 2:
+    p = min(workers, max(1, len(indices) // POOL_MIN_SHARE))
+    if p < 2:
         return [fn(ctx, i) for i in indices]
     from concurrent.futures import ProcessPoolExecutor
 
-    size = max(1, len(indices) // (workers * 4))
-    chunks = [indices[start:start + size] for start in range(0, len(indices), size)]
-    pool = ProcessPoolExecutor(max_workers=workers - 1, initializer=_pool_init,
+    results = [None] * len(indices)
+    pool = ProcessPoolExecutor(max_workers=p - 1, initializer=_pool_init,
                                initargs=((fn, ctx),))
     try:
-        futures = [pool.submit(_pool_chunk, chunk) for chunk in chunks]
-        solved = {}
-        for k in reversed(range(len(chunks))):
-            if not futures[k].cancel():
-                break
-            solved[k] = [fn(ctx, i) for i in chunks[k]]
-        return [result for k, future in enumerate(futures)
-                for result in (solved[k] if k in solved else future.result())]
+        futures = [pool.submit(_pool_chunk, indices[k::p]) for k in range(1, p)]
+        results[0::p] = [fn(ctx, i) for i in indices[0::p]]
+        for k, future in enumerate(futures, 1):
+            results[k::p] = future.result()
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -236,20 +232,20 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization, laws,
     targets(window) gives each direction's groups of vertex indices; a group's
     time is the least time of its members.  One search per (law, replica)
     pair serves all the groups, and the pair is flagged when the last group
-    of any direction is (see fpp.passage_times).  The first window is
-    [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where reach bounds the
-    targets' translation coordinates.  Every pending pair runs on the window
-    and the unflagged ones keep their times; the flagged ones rerun, for every
-    direction, on the window with R grown by max(2, R // 2), at most
-    MAX_ENLARGEMENTS times.  A replica's configuration on a window is its
-    configuration on any larger window restricted to it, so its kept value is
-    a function of its own edge times and the replicas stay i.i.d.; drawing
-    the flagged replicas afresh instead would select on the flag.  A batch
-    runs on at most one process per POOL_MIN_SHARE pairs, the calling process
-    included, so a handful of flagged pairs reruns serially, without forked
-    window copies.  Returns (the groups of every direction on the last window;
-    per law, the per-direction per-replica group times, the enlargements its
-    replicas needed and each replica's R).
+    of any direction is (see fpp.passage_times) or any group time is inf:
+    every law draws finite times, so the window cut the group off, or a sum
+    overflowed, which one unit-weight search tells and which is an error.
+    The first window is [-R, R]^d, R = reach + MARGIN + SLACK_LAYERS, where
+    reach bounds the targets' translation coordinates.  Every pending pair
+    runs on the window and the unflagged ones keep their times; the flagged
+    ones rerun, for every direction, on the window with R grown by
+    max(2, R // 2), at most MAX_ENLARGEMENTS times.  A replica's
+    configuration on a window is its configuration on any larger window
+    restricted to it, so its kept value is a function of its own edge times
+    and the replicas stay i.i.d.; drawing the flagged replicas afresh instead
+    would select on the flag.  Returns (the groups of every direction on the
+    last window; per law, the per-direction per-replica group times, the
+    enlargements its replicas needed and each replica's R).
     """
     source = (lattice.base.vertices[0], (0,) * lattice.dim)
     radius = reach + MARGIN + SLACK_LAYERS
@@ -266,14 +262,20 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization, laws,
             raise EstimatorError("no target vertex inside the window")
         ends = list(accumulate(map(len, per_direction)))
         ctx = (window, laws, base_seed, replicas, source, groups, [e - 1 for e in ends])
-        results = _map_replicas(_replica_times, ctx, pending,
-                                min(workers, max(1, len(pending) // POOL_MIN_SHARE)))
-        flagged = []
+        results = _map_replicas(_replica_times, ctx, pending, workers)
+        flagged, hops = [], None
         for index, (times, flag) in zip(pending, results):
+            law, i = divmod(index, replicas)
+            if math.inf in times:  # the window cut a group off, or a sum overflowed
+                hops = hops or _dijkstra(window, [1] * len(window.orbit_ends),
+                                         window.vertex_index[source], 1, stop=_stop_table(groups))
+                if any(t == math.inf and min(hops[v] for v in group) < math.inf
+                       for group, t in zip(groups, times)):
+                    raise _overflow_error(laws[law][0])
+                flag = True
             if flag:
                 flagged.append(index)
             else:
-                law, i = divmod(index, replicas)
                 kept[law][i], radii[law][i], spent[law] = times, radius, enlargements
         if not flagged:
             return per_direction, [
@@ -284,9 +286,13 @@ def _unflagged_replicas(lattice: CrystalLattice, realization: Realization, laws,
         if enlargements > MAX_ENLARGEMENTS:
             raise EstimatorError(
                 f"boundary flags persisted after {MAX_ENLARGEMENTS} window enlargements")
-        del window, per_direction, groups, ctx, results  # free it before the next is built
+        del window, per_direction, groups, ctx, results, hops  # free them before the next
         pending = flagged
         radius += max(2, radius // 2)
+
+
+def _overflow_error(distribution: TimeDistribution) -> EstimatorError:
+    return EstimatorError(f"passage times under {distribution.label()} overflow float64")
 
 
 def _moment_guard(lattice: CrystalLattice, realization: Realization,
@@ -372,13 +378,16 @@ def _time_constants(lattice: CrystalLattice, realization: Realization, laws,
         replicas, base_seed, workers)
 
     per_law = []
-    for witness, (per_direction, enlargements, radii) in zip(witnesses, batches):
+    for law, witness, (per_direction, enlargements, radii) in zip(laws, witnesses, batches):
         estimates = []
         for (coords, n_scale, step), results in zip(parsed, per_direction):
             samples = tuple(per_k[-1] / (k_max * n_scale) for per_k in results)
-            trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
-                          for k in range(1, k_max + 1))
-            point, se = _mean_se(samples)
+            try:
+                trace = tuple(fsum(per_k[k - 1] for per_k in results) / replicas / (k * n_scale)
+                              for k in range(1, k_max + 1))
+                point, se = _mean_se(samples)
+            except OverflowError:
+                raise _overflow_error(law[0]) from None
             estimates.append(TimeConstantEstimate(
                 direction=coords, scale=n_scale, step=step, point_estimate=point,
                 std_error=se, samples=samples, trace=trace, k_max=k_max, replicas=replicas,
@@ -483,33 +492,17 @@ def estimate_shape(lattice: CrystalLattice, realization: Realization,
                    distribution: TimeDistribution, n_dirs: int, k_max: int,
                    replicas: int, base_seed: int, *, max_coord: int = 2,
                    zero_threshold: float = 0.02, workers: int = 1) -> ShapeEstimate:
-    """Estimate the limit shape from directional time constants.
-
-    One shortest-path run per replica serves every direction (single source).
-    """
-    if k_max < 1 or replicas < 1:
-        raise ValueError("k_max and replicas must be positive")
-    d = lattice.dim
-    _moment_guard(lattice, realization, distribution)
-    if d == 2:
-        dirs = angular_direction_grid(realization, n_dirs, max_coord)
-    elif d == 1:
-        dirs = [(1,), (-1,)]
-    else:
-        dirs = _primitive_box_vectors(d, 1)
-    if not dirs:
-        raise EstimatorError("no directions to estimate")
-
-    u0 = lattice.base.vertices[0]
-    _, ((per_direction, _, radii),) = _unflagged_replicas(
-        lattice, realization, [(distribution, 0)],
-        k_max * max(max(abs(c) for c in z) for z in dirs),
-        lambda w: [[[w.vertex_index[u0, tuple(k_max * c for c in z)]]] for z in dirs],
-        replicas, base_seed, workers)
-    samples = np.array([[t for (t,) in results] for results in per_direction]).T / k_max
+    """Estimate the limit shape, the unit ball of the time constant, from
+    estimate_time_constant along the angular grid in dimension 2, both unit
+    directions in dimension 1 and the primitive unit-box vectors otherwise."""
+    dirs = (angular_direction_grid(realization, n_dirs, max_coord) if lattice.dim == 2
+            else [(1,), (-1,)] if lattice.dim == 1 else _primitive_box_vectors(lattice.dim, 1))
+    estimates = estimate_time_constant(lattice, realization, distribution, dirs, k_max,
+                                       replicas, base_seed, workers=workers)
     return ShapeEstimate.from_samples(
-        realization, dirs, samples, zero_threshold, k_max=k_max, replicas=replicas,
-        radius_used=max(radii), replica_radii=radii)
+        realization, dirs, np.array([est.samples for est in estimates]).T, zero_threshold,
+        k_max=k_max, replicas=replicas, radius_used=estimates[0].radius_used,
+        replica_radii=estimates[0].replica_radii)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +576,10 @@ def monotonicity_experiment(lattice: CrystalLattice, realization: Realization,
 
     entries = []
     for est1, results, (fiber_idx,) in zip(quotient_estimates, per_direction, fibers):
-        mu_a, se_a = _mean_se([fiber_min / (k_max * est1.scale) for fiber_min, in results])
+        try:
+            mu_a, se_a = _mean_se([fiber_min / (k_max * est1.scale) for fiber_min, in results])
+        except OverflowError:
+            raise _overflow_error(distribution) from None
         entries.append(MonotonicityEntry(
             direction=est1.direction, mu_quotient=est1.point_estimate,
             se_quotient=est1.std_error, mu_affine=mu_a, se_affine=se_a,

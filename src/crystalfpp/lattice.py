@@ -188,9 +188,11 @@ class Window:
         # canonical half-edges give the orbits; a voltage shifts a flat index by strides @ v
         slot = {u: i for i, u in enumerate(base.vertices)}
         strides = (2 * radius + 1) ** np.arange(d - 1, -1, -1)
-        eids, ends = [], []
+        eids, ends = [np.empty(0, dtype=np.int32)], [np.empty((0, 2), dtype=int)]
         directed = 0
         for eid, e in base.half_edges.items():
+            if max(map(abs, lattice.voltage[eid])) > 2 * radius:  # no instance, maybe no int64
+                continue
             vec = np.array(lattice.voltage[eid], dtype=int)
             origins = np.flatnonzero(np.all(np.abs(index_array + vec) <= radius, axis=1))
             directed += len(origins)

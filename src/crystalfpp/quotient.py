@@ -257,8 +257,8 @@ def build_quotient(lattice: CrystalLattice, realization: Realization,
     if p_matrix.shape[0] != d1:
         raise RankError(_too_degenerate(kernel, "projection image is rank deficient"))
 
-    q_arr = np.array(q, dtype=int)
-    voltage1 = {eid: tuple(int(c) for c in q_arr @ np.array(vec))
+    # Python ints, as in project_index: a voltage need not fit an int64
+    voltage1 = {eid: tuple(sum(r * c for r, c in zip(row, vec)) for row in q)
                 for eid, vec in lattice.voltage.items()}
     sub_lattice = CrystalLattice(lattice.base, d1, voltage1)
     period1 = p_matrix @ section_real

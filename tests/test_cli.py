@@ -190,6 +190,11 @@ class TestExitCodes:
         "halfedge 0 0 0 1\nhalfedge 1 0 0 0 -1\nposition 0 0.0\nperiod 1.0\n")
     LINE_LATTICE = ("crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 2\n"
                     "halfedge 0 0 0 1 1\nhalfedge 1 0 0 0 -1\nposition 0 0.0\nperiod 1.0\n")
+    # a step of 1 needs the vertex at 101, outside every window a run may build
+    LOOPS_LATTICE = LINE_LATTICE.replace("halfedges 2\nhalfedge 0 0 0 1 1\nhalfedge 1 0 0 0 -1",
+                                         "halfedges 4\nhalfedge 0 0 0 1 100\n"
+                                         "halfedge 1 0 0 0 -100\nhalfedge 2 0 0 3 101\n"
+                                         "halfedge 3 0 0 2 -101")
     HONEYCOMB_WITHOUT_POSITION_1 = "".join(
         line for line in lattice_to_text(*build_preset("honeycomb")).splitlines(True)
         if not line.startswith("position 1 "))
@@ -307,6 +312,13 @@ class TestExitCodes:
           "--target-index", "1"], {}),
         (["mu", "--preset", "cubic2", "--dist", "exponential:1", "--direction", "1,0,0"], {}),
         (["positivity", "--preset", "cubic2", "--direction", "1"], {}),
+        (["mu", "--lattice-file", "{tmp}/lat.txt", "--direction", "1",
+          "--dist", "exponential:1"], {"lat.txt": LOOPS_LATTICE}),
+        (["mu", "--preset", "cubic2", "--direction", "1,0", "--dist", "deterministic:1e308"], {}),
+        (["mu", "--preset", "cubic2", "--direction", "1,0", "--dist", "uniform:0,1e308"], {}),
+        (["mu", "--preset", "cubic2", "--direction", "1,0", "--dist", "pareto:1e308,1e308"],
+         {}),
+        (["shape", "--preset", "cubic2", "--dirs", "8", "--dist", "uniform:0,1e308"], {}),
     ], ids=["missing-lattice-file", "missing-config", "missing-input-csv", "bare-position",
             "dist-unknown-param", "dist-missing-param", "dist-not-a-family", "dist-number",
             "direction-number", "directions-number", "kernel-number", "grid-number",
@@ -326,7 +338,9 @@ class TestExitCodes:
             "lattice-without-vertices", "p-grid-word", "t-grid-word", "render-word-dir-index",
             "render-index-two-directions", "render-direction-two-indices",
             "monotonicity-cover-direction", "target-short", "mu-direction-long",
-            "positivity-direction-short"])
+            "positivity-direction-short", "target-out-of-every-window",
+            "deterministic-overflow", "uniform-overflow", "pareto-overflow",
+            "shape-overflow"])
     def test_malformed_input_exits_one_without_artifacts(self, tmp_path, capsys, request,
                                                          argv, files):
         for name, content in files.items():
@@ -360,7 +374,13 @@ class TestExitCodes:
                     "mu-direction-long":
                         "direction '1,0,0' has length 3, the lattice dimension is 2",
                     "positivity-direction-short":
-                        "direction '1' has length 1, the lattice dimension is 2"}
+                        "direction '1' has length 1, the lattice dimension is 2",
+                    "target-out-of-every-window":
+                        "boundary flags persisted after 4 window enlargements",
+                    "deterministic-overflow": "under deterministic:1e+308 overflow float64",
+                    "uniform-overflow": "under uniform:0.0,1e+308 overflow float64",
+                    "pareto-overflow": "under pareto:1e+308,1e+308 overflow float64",
+                    "shape-overflow": "under uniform:0.0,1e+308 overflow float64"}
 
     @pytest.mark.parametrize("flag", ["--max-coord", "--dirs"])
     def test_huge_direction_grid_exits_one_at_once(self, tmp_path, flag):
@@ -665,6 +685,33 @@ class TestLatticeAndQuotientCommands:
         assert run_cli(["lattice", "--lattice-file", str(lattice_file),
                         "--radius", "2", "--out", str(out2), "--threads", "1"]) == 0
         assert (out2 / "lattice.txt").read_bytes() == lattice_file.read_bytes()
+
+    @pytest.mark.parametrize("big", [2 ** 63 - 1, 10 ** 30])
+    def test_a_voltage_past_int64_runs_like_the_lattice_without_it(self, tmp_path, big):
+        # cubic2 with an extra loop of voltage (big, big): no window a run builds
+        # holds an instance of it, so the runs read as cubic2's, but for the
+        # base graph's orbit counts
+        text = lattice_to_text(*build_preset("cubic2")).replace(
+            "halfedges 4", "halfedges 6").replace(
+            "position", f"halfedge 4 0 0 5 {big} {big}\nhalfedge 5 0 0 4 {-big} {-big}\n"
+                        "position")
+        lattice_file = tmp_path / "lat.txt"
+        lattice_file.write_text(text)
+        runs = {"lattice": ["lattice", "--radius", "2"],
+                "quotient": ["quotient", "--kernel", "1,-1", "--radius", "2"],
+                "mu": ["mu", "--direction", "1,0", "--dist", "exponential:1", "--k-max", "3",
+                       "--replicas", "4"]}
+        for name, argv in runs.items():
+            outs = [tmp_path / f"{name}-{source}" for source in ("file", "preset")]
+            for out, source in zip(outs, (["--lattice-file", str(lattice_file)],
+                                          ["--preset", "cubic2"])):
+                assert run_cli(argv + source + ["--out", str(out), "--threads", "1"]) == 0
+            file_lines, preset_lines = (
+                [line for line in (out / "summary.txt").read_text().splitlines()
+                 if not line.startswith(("# timing:", "config=", "lattice_hash=", "edge_orbits=",
+                                         "quotient_edge_orbits="))]
+                for out in outs)
+            assert file_lines == preset_lines
 
     def test_cubic7_lattice_command_finds_its_connectivity(self, tmp_path):
         # the R = 3 window of cubic7 is above the vertex cap, so the connectivity

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -187,6 +188,54 @@ class TestTimeConstant:
                     same_window += 1
                     assert est.samples[i] == one.samples[i]
         assert same_window >= 20
+
+
+def two_loop_line(a, b):
+    """One vertex on a line with two loops of voltages a and b: with gcd 1 the
+    lattice is connected, but a step of 1 needs an excursion to a or b."""
+    return build_custom(graph_from_edges(1, [(0, 0), (0, 0)]),
+                        {0: (a,), 1: (-a,), 2: (b,), 3: (-b,)}, {0: (0.0,)}, [(1.0,)])
+
+
+class TestInfiniteTimes:
+    def test_a_target_the_window_cuts_off_reruns_on_a_larger_window(self):
+        # the first window, R = 6, holds no loop of voltage 7 or 8 at all
+        est, = estimate_time_constant(*two_loop_line(7, 8), EXP1, [(1,)], 2, 6, 3)
+        assert est.enlargements == 2 and set(est.replica_radii) == {9, 13}
+        assert all(map(math.isfinite, est.samples + est.trace + (est.std_error,)))
+
+    def test_a_target_no_window_reaches_is_an_error(self):
+        # a step of 1 needs the vertex at 101, beyond R = 6 + 3 + 4 + 6 + 9 = 28
+        lat, real = two_loop_line(100, 101)
+        with pytest.raises(EstimatorError, match="boundary flags persisted after 4"):
+            estimate_time_constant(lat, real, EXP1, [(1,)], 2, 3, 1)
+        with pytest.raises(EstimatorError, match="boundary flags persisted after 4"):
+            estimate_shape(lat, real, EXP1, 2, 2, 3, 1)
+
+    @pytest.mark.parametrize("law", ["deterministic:1e308", "uniform:0,1e308",
+                                     "pareto:1e308,1e308", "uniform:0,1e200",
+                                     "exponential:1e-308"])
+    def test_times_past_float64_name_the_law(self, law):
+        dist = TimeDistribution.parse(law)
+        lat, real = build_preset("cubic2")
+        kernel = KernelSublattice.of([(1, -1)], 2)
+        for run in (lambda: estimate_time_constant(lat, real, dist, [(1, 0)], 2, 3, 1),
+                    lambda: estimate_shape(lat, real, dist, 8, 2, 3, 1),
+                    lambda: monotonicity_experiment(lat, real, kernel, dist, [(2,)], 2, 3, 1)):
+            with pytest.raises(EstimatorError,
+                               match=re.escape(f"under {dist.label()} overflow float64")):
+                run()
+
+    def test_an_overflow_on_the_cover_side_names_the_law(self, monkeypatch):
+        # the quotient side runs the unit law, so only the cover side overflows
+        original = estimate_module.estimate_time_constant
+        monkeypatch.setattr(estimate_module, "estimate_time_constant",
+                            lambda lat, real, dist, *args, **kwargs:
+                            original(lat, real, DET1, *args, **kwargs))
+        lat, real = build_preset("cubic2")
+        with pytest.raises(EstimatorError, match=re.escape("uniform:0.0,1e+200 overflow")):
+            monotonicity_experiment(lat, real, KernelSublattice.of([(1, -1)], 2),
+                                    TimeDistribution.uniform(0, 1e200), [(2,)], 2, 3, 1)
 
 
 class TestMomentGuard:
@@ -774,17 +823,25 @@ class TestWindowEnlargement:
         ("monotonicity-two-directions", [(10, 2), (10, 2), (3, 1), (1, 1)]),
     ])
     def test_a_pool_worker_gets_at_least_two_replicas(self, monkeypatch, name, batches):
-        seen = []
+        seen, pool_sizes = [], []
         original = estimate_module._map_replicas
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
         def recording(fn, ctx, indices, workers):
             indices = list(indices)
-            seen.append((len(indices), workers))
-            return original(fn, ctx, indices, workers)
+            del pool_sizes[:]
+            results = original(fn, ctx, indices, workers)
+            seen.append((len(indices), 1 + sum(pool_sizes)))  # the caller and its pool
+            return results
 
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(estimate_module, "_map_replicas", recording)
         ENLARGING_RUNS[name][0](workers=2)
-        assert seen == batches  # (replicas, workers) of each batch
+        assert seen == batches  # (replicas, processes) of each batch
         assert not multiprocessing.active_children()
 
     def test_monotonicity_records_each_replica_radius(self):
@@ -858,45 +915,29 @@ def _index_and_pid(pause, i):
     return i, os.getpid()
 
 
+def _fail_at(bad, i):
+    if i == bad:
+        raise LookupError(f"replica {i}")
+    return i
+
+
 class TestReplicaMap:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Every process pool opened; the fake starts no process.  Like a real
-        pool, it starts its first max_workers chunks when they are submitted,
-        the others when their result is asked for, and records the chunks it
-        solves."""
-
-        class FakeFuture:
-            def __init__(self, pool, chunk):
-                self.pool, self.chunk, self.state = pool, chunk, "pending"
-
-            def run(self):
-                self.pool.solved.append(self.chunk)
-                self.value, self.state = self.pool.fn(self.chunk), "finished"
-
-            def cancel(self):
-                if self.state == "pending":
-                    self.state = "cancelled"
-                return self.state == "cancelled"
-
-            def result(self):
-                if self.state == "pending":
-                    self.run()
-                return self.value
+        """Every process pool opened; the fake starts no process.  It records
+        the share of each submit and solves the share at once."""
 
         class FakePool:
             def __init__(self, max_workers, initializer, initargs):
-                self.max_workers, self.solved, self.futures = max_workers, [], []
-                self.shut_down = False
+                self.max_workers, self.shares, self.shut_down = max_workers, [], False
                 initializer(*initargs)
                 opened.append(self)
 
-            def submit(self, fn, chunk):
-                self.fn = fn
-                self.futures.append(FakeFuture(self, chunk))
-                if len(self.futures) <= self.max_workers:
-                    self.futures[-1].run()
-                return self.futures[-1]
+            def submit(self, fn, share):
+                self.shares.append(share)
+                future = concurrent.futures.Future()
+                future.set_result(fn(share))
+                return future
 
             def shutdown(self, cancel_futures=False):
                 self.shut_down = True
@@ -913,37 +954,42 @@ class TestReplicaMap:
         assert estimate_module._map_replicas(fn, 10, range(3), 1000) == [0, 10, 20]
         assert estimate_module._map_replicas(fn, 10, [7], 1000) == [70]
         assert estimate_module._map_replicas(fn, 10, [1, 4, 9, 3, 5], 4) == [10, 40, 90, 30, 50]
-        # the calling process is one of the workers, so the pool has one fewer
-        assert [pool.max_workers for pool in pools] == [2, 3]
+        # at least POOL_MIN_SHARE indices per process, the calling process one of them
+        assert estimate_module.POOL_MIN_SHARE == 2
+        assert [pool.max_workers for pool in pools] == [1]
 
-    def test_the_caller_solves_chunks_from_the_back(self, pools):
+    @pytest.mark.parametrize("indices, workers, processes", [
+        (range(40), 4, 4), (range(40), 2, 2), ([9, 2, 7, 4, 1, 8, 0], 8, 3),
+        (range(7, 12), 3, 2), (range(3), 3, 1)])
+    def test_one_submit_per_strided_share(self, pools, indices, workers, processes):
         solved = []
 
         def fn(ctx, i):
             solved.append(i)
             return ctx * i
 
-        # 40 indices on 2 processes: chunks of 40 // 8 = 5
-        assert estimate_module._map_replicas(fn, 3, range(40), 2) == [3 * i for i in range(40)]
+        indices = list(indices)
+        assert estimate_module._map_replicas(fn, 3, indices, workers) == [3 * i for i in indices]
+        if processes == 1:
+            assert not pools and solved == indices
+            return
         pool, = pools
-        assert pool.max_workers == 1 and pool.shut_down
-        assert pool.solved == [[0, 1, 2, 3, 4]]
-        # the caller cancelled chunks 7, 6, ..., 1 in the pool and solved them
-        assert solved[5:] == [i for k in range(7, 0, -1) for i in range(5 * k, 5 * k + 5)]
-        assert [f.state for f in pool.futures] == ["finished"] + ["cancelled"] * 7
+        assert pool.max_workers == processes - 1 and pool.shut_down
+        # share k >= 1 is one submit to the pool, share 0 is the caller's
+        assert pool.shares == [indices[k::processes] for k in range(1, processes)]
+        assert solved[len(indices) - len(indices[0::processes]):] == indices[0::processes]
 
-    def test_the_caller_stops_at_a_chunk_the_pool_started(self, pools):
-        # 12 indices on 3 processes: chunks of 1, and a pool of 2 starts two
-        assert estimate_module._map_replicas(pow, 2, range(12), 3) == [2 ** i for i in range(12)]
-        pool, = pools
-        assert pool.solved == [[0], [1]]
-        assert [f.state for f in pool.futures] == ["finished"] * 2 + ["cancelled"] * 10
-
-    def test_the_caller_is_one_of_the_processes(self):
+    def test_the_caller_solves_share_zero(self):
         results = estimate_module._map_replicas(_index_and_pid, 0.01, range(40), 2)
         assert [i for i, _ in results] == list(range(40))
-        pids = {pid for _, pid in results}
-        assert os.getpid() in pids and len(pids) <= 2
+        assert [i for i, pid in results if pid == os.getpid()] == list(range(0, 40, 2))
+        assert len({pid for _, pid in results[1::2]} - {os.getpid()}) == 1
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("bad", [4, 7], ids=["caller-share", "pool-share"])
+    def test_an_exception_in_a_share_propagates_with_its_type(self, bad):
+        with pytest.raises(LookupError, match=f"replica {bad}"):
+            estimate_module._map_replicas(_fail_at, bad, range(10), 2)
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [1, 2])

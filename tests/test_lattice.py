@@ -217,6 +217,30 @@ class TestWindow:
         assert win.adjacency == tuple(tuple(sorted(row)) for row in adj)
         assert win.vertex_translations.tolist() == [list(z) for _, z in win.vertices]
 
+    @pytest.mark.parametrize("big", [4, 5, 2 ** 63 - 1, 2 ** 63, 10 ** 30])
+    def test_voltages_past_the_box_have_no_instance(self, big):
+        # a unit loop and a loop of voltage big: at R = 2 the big loop has an
+        # instance only while big <= 4, and numpy never holds a larger voltage
+        lat, real = build_custom(graph_from_edges(1, [(0, 0), (0, 0)]),
+                                 {0: (1,), 1: (-1,), 2: (big,), 3: (-big,)},
+                                 {0: (0.0,)}, [(1.0,)])
+        win = instantiate_window(lat, real, 2)
+        expected = [(0, (z,)) for z in range(-2, 2)] + [(2, (-2,))] * (big == 4)
+        assert list(win.orbit_keys) == expected
+        assert win.orbit_ends.tolist() == [[win.vertex_index[v] for v in orbit_endpoints(win, key)]
+                                           for key in expected]
+
+    def test_quotient_voltages_are_exact_past_int64(self):
+        h = 10 ** 30
+        lat, real = build_custom(graph_from_edges(1, [(0, 0)] * 3),
+                                 {0: (1, 0), 1: (-1, 0), 2: (0, 1), 3: (0, -1),
+                                  4: (h, h), 5: (-h, -h)}, {0: (0.0, 0.0)}, [(1, 0), (0, 1)])
+        q = build_quotient(lat, real, KernelSublattice.of([(1, -1)], 2))
+        assert q.q == ((1, 1),)
+        assert q.sub_lattice.voltage == {eid: q.project_index(vec)
+                                         for eid, vec in lat.voltage.items()}
+        assert q.sub_lattice.voltage[4] == (2 * h,)
+
     @pytest.mark.parametrize("preset", PRESETS)
     def test_equivariance(self, preset):
         lat, real = build_preset(preset)
