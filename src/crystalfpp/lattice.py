@@ -36,7 +36,8 @@ class WindowLimitError(RuntimeError):
 
 
 Vertex = tuple[int, tuple[int, ...]]
-# The memory guard: a cubic2 window takes about 1.1 kB per vertex (CPython 3.11).
+# The memory guard: a cubic2 window adds about 0.52 kB of RSS per vertex, and 0.62 kB
+# while it is built (CPython 3.11, numpy 2.4), so a window at the cap peaks near 250 MB.
 MAX_WINDOW_VERTICES = 400_000
 # build_custom's injectivity probe: the window radius it checks, and the least
 # distance two realized vertices may have
@@ -147,16 +148,99 @@ class Realization:
                 and self.positions == other.positions and self.period == other.period)
 
 
+class _Vertices(Sequence):
+    """Read-only tuple of a window's vertices (u, z), computed from its layout.
+
+    Item i is (base vertex i % nb, row i of the translation array), in Python
+    ints, for nb base vertices; indexing, slicing, iteration and equality
+    behave as on a tuple.
+    """
+
+    __slots__ = ("_bases", "_translations")
+
+    def __init__(self, bases: tuple[int, ...], translations: np.ndarray):
+        self._bases, self._translations = bases, translations
+
+    def __len__(self) -> int:
+        return len(self._translations)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # a tuple's index rules: an int or a slice, in range
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        return self._bases[i % len(self._bases)], tuple(self._translations[i].tolist())
+
+    def __iter__(self):
+        return zip(itertools.cycle(self._bases), map(tuple, self._translations.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Vertices)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class _VertexIndex(Mapping):
+    """Read-only dict from a window's vertices to their indices.
+
+    The index of (u, z) is the flat index of z in the box, times the base
+    vertex count, plus the slot of u; a key is found exactly when a dict of
+    the vertices would find it (an unhashable key raises TypeError).
+    """
+
+    __slots__ = ("_vertices", "_slot", "_radius", "_dim")
+
+    def __init__(self, vertices: _Vertices, radius: int, dim: int):
+        self._vertices, self._radius, self._dim = vertices, radius, dim
+        self._slot = {u: i for i, u in enumerate(vertices._bases)}
+
+    def __getitem__(self, key) -> int:
+        hash(key)  # an unhashable key raises TypeError, as in a dict
+        try:
+            u, z = key
+            s, dim = self._slot[u], len(z)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if dim != self._dim:
+            raise KeyError(key)
+        # a number equal to an int k hashes as k (as -2 for k = -1), so the hashes
+        # name the one vertex the key can equal, and equality decides
+        r, flat, zs = self._radius, 0, []
+        for c in z:
+            k = hash(c)
+            k = -1 if k == -2 and c == -1 else k
+            if not -r <= k <= r:
+                raise KeyError(key)
+            flat = flat * (2 * r + 1) + k + r
+            zs.append(k)
+        vertex = self._vertices._bases[s], tuple(zs)
+        if vertex != key:
+            raise KeyError(key)
+        return flat * len(self._slot) + s
+
+    def __iter__(self):
+        return iter(self._vertices)
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+
 class Window:
     """Finite truncation of the lattice over translation indices in [-R, R]^d.
 
     Vertices are ordered by (index, base vertex); undirected edge orbits are
-    keyed by (canonical half-edge id, origin index) and ordered likewise.  The
-    edge table orbit_ends holds each orbit's two endpoint vertex indices in
-    that order, and orbit_eids each orbit's canonical half-edge id; the
-    adjacency and every edge-level computation read them.  The orbit keys are
-    built from the table only when asked for, since the estimators never need
-    them.  Immutable after construction.
+    keyed by (canonical half-edge id, origin index) and ordered likewise.  A
+    window stores only what the searches read: the edge table orbit_ends,
+    each orbit's two endpoint vertex indices in that order, which the
+    adjacency and every edge-level computation read; the adjacency; and
+    vertex_translations, whose row i is the index z of vertex i.  The vertex
+    tuple `vertices` and the map `vertex_index` are read-only views computed
+    from that array and the box layout, and they hold no reference to the
+    window.  `indices`, `coords`, `orbit_eids` (each orbit's canonical
+    half-edge id) and `orbit_keys` are built when first asked for, since the
+    estimators never read them.  Immutable after construction.
     """
 
     def __init__(self, lattice: CrystalLattice, realization: Realization, radius: int):
@@ -171,24 +255,18 @@ class Window:
         self.lattice = lattice
         self.realization = realization
         self.radius = radius
-        self.indices: tuple[tuple[int, ...], ...] = tuple(
-            itertools.product(range(-radius, radius + 1), repeat=d))
-        self.vertices: tuple[Vertex, ...] = tuple(
-            (u, z) for z in self.indices for u in base.vertices)
-        index_array = np.array(self.indices, dtype=int)
+        # the box indices in itertools.product order, one row each
+        index_array = np.indices((2 * radius + 1,) * d).reshape(d, -1).T - radius
         nb = len(base.vertices)
         self.vertex_translations: np.ndarray = np.repeat(index_array, nb, axis=0)  # n x d
-
-        pos = realization.position_array(base.vertices)
-        zmat = index_array @ realization.period_matrix().T
-        self.coords = (np.repeat(zmat, nb, axis=0)
-                       + np.tile(pos, (len(self.indices), 1)))
+        self.vertices: Sequence[Vertex] = _Vertices(base.vertices, self.vertex_translations)
+        self.vertex_index: Mapping[Vertex, int] = _VertexIndex(self.vertices, radius, d)
 
         # edge table: half-edge eid at index z stays when z + voltage is in the box, and
         # canonical half-edges give the orbits; a voltage shifts a flat index by strides @ v
         slot = {u: i for i, u in enumerate(base.vertices)}
         strides = (2 * radius + 1) ** np.arange(d - 1, -1, -1)
-        eids, ends = [np.empty(0, dtype=np.int32)], [np.empty((0, 2), dtype=int)]
+        eids, runs, ends = [], [], [np.empty((0, 2), dtype=int)]
         directed = 0
         for eid, e in base.half_edges.items():
             if max(map(abs, lattice.voltage[eid])) > 2 * radius:  # no instance, maybe no int64
@@ -197,37 +275,64 @@ class Window:
             origins = np.flatnonzero(np.all(np.abs(index_array + vec) <= radius, axis=1))
             directed += len(origins)
             if eid < e.inverse:
-                eids.append(np.full(len(origins), eid, dtype=np.int32))
+                eids.append(eid)
+                runs.append(len(origins))
                 ends.append(np.column_stack((origins * nb + slot[e.origin],
                                              (origins + strides @ vec) * nb + slot[e.terminus])))
-        self.orbit_eids: np.ndarray = np.concatenate(eids)  # m canonical half-edge ids
+        self._orbit_runs = tuple(eids), tuple(runs)  # orbit_eids, run-length coded
         self.orbit_ends: np.ndarray = np.concatenate(ends, dtype=np.int32)  # m x 2 vertex indices
         if 2 * len(self.orbit_ends) != directed:
             raise LatticeError("edge orbit count does not halve the directed instance count")
 
-        # one Python int per number, shared by the vertex index map and the adjacency
-        nums = np.arange(max(len(self.vertices), len(self.orbit_ends))).astype(object)
-        self.vertex_index: dict[Vertex, int] = dict(zip(self.vertices, nums))
-
-        # adjacency rows of sorted (neighbour, orbit) pairs, a loop listed once; the
-        # temporaries are dropped as soon as they are used, to keep peak memory low
+        # adjacency rows of sorted (neighbour, orbit) pairs, a loop listed once, which
+        # share one Python int per number; the temporaries are dropped as soon as they
+        # are used, to keep peak memory low
+        n = len(self.vertex_translations)
+        nums = np.arange(max(n, len(self.orbit_ends))).astype(object)
         a, b = self.orbit_ends.T
         twice = np.flatnonzero(a != b).astype(np.int32)
         rows, cols = np.concatenate((a, b[twice])), np.concatenate((b, a[twice]))
         ids = np.concatenate((np.arange(len(a), dtype=np.int32), twice))
         order = np.lexsort((ids, cols, rows))
-        counts = np.bincount(rows, minlength=len(self.vertices)).tolist()
-        del eids, ends, twice, rows
+        counts = np.bincount(rows, minlength=n).tolist()
+        del ends, twice, rows
         pairs = zip(nums[cols[order]], nums[ids[order]])
         del cols, ids, order
-        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(itertools.islice(pairs, k)) for k in counts)
+        # a run of rows with k pairs each takes k pairs at a time off the one stream
+        adjacency = []
+        for k, run in itertools.groupby(counts):
+            rows_in_run = sum(1 for _ in run)
+            adjacency.extend(itertools.islice(zip(*[pairs] * k), rows_in_run) if k
+                             else [()] * rows_in_run)
+        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(adjacency)
+
+    @functools.cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The translation indices of the box, in vertex order."""
+        r = self.radius
+        return tuple(itertools.product(range(-r, r + 1), repeat=self.lattice.dim))
+
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """n x d realized points: positions[u] + period @ z for each vertex (u, z)."""
+        nb = len(self.lattice.base.vertices)
+        index_array = np.ascontiguousarray(self.vertex_translations[::nb])
+        pos = self.realization.position_array(self.lattice.base.vertices)
+        zmat = index_array @ self.realization.period_matrix().T
+        return np.repeat(zmat, nb, axis=0) + np.tile(pos, (len(index_array), 1))
+
+    @functools.cached_property
+    def orbit_eids(self) -> np.ndarray:
+        """The canonical half-edge id of each orbit, in table order."""
+        eids, runs = self._orbit_runs
+        return np.repeat(np.array(eids, dtype=np.int32), runs)
 
     @functools.cached_property
     def orbit_keys(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(canonical half-edge id, origin index) of each orbit, in table order."""
+        z = list(map(tuple, self.vertex_translations.tolist()))  # one tuple per vertex
         return tuple(zip(self.orbit_eids.tolist(),
-                         (self.vertices[a][1] for a in self.orbit_ends[:, 0].tolist())))
+                         map(z.__getitem__, self.orbit_ends[:, 0].tolist())))
 
     @functools.cached_property
     def sample_order(self) -> np.ndarray:
@@ -243,9 +348,7 @@ class Window:
         return np.argsort(shell, kind="stable")
 
     def contains(self, u: int, z: Sequence[int]) -> bool:
-        r = self.radius
-        return (self.lattice.base.has_vertex(u) and len(z) == self.lattice.dim
-                and all(-r <= c <= r for c in z))
+        return (u, tuple(z)) in self.vertex_index
 
     def interior_mask(self, margin: int, idx=slice(None)) -> np.ndarray:
         """True for vertices (all, or those at idx) at least `margin` layers away
@@ -358,14 +461,23 @@ def edge_connectivity_estimate(lattice: CrystalLattice, realization: Realization
     one that touches the boundary margin has a capacity above every such cut,
     so boundary cuts never count.  The certificate is `value` source-sink
     walks read off the flow, which share no interior orbit: they are
-    edge-disjoint on the interior edges only.  Without a radius, the window
-    is the largest of radius at most 3 that fits MAX_WINDOW_VERTICES (2 if
-    none does).
+    edge-disjoint on the interior edges only.  Without a radius, every
+    half-edge at a sink must lie in the interior, so the radius is at least
+    the largest voltage entry plus CONNECTIVITY_MARGIN, and at least 2 (a
+    smaller window may miss whole orbits and read 0).  It is the largest such
+    radius up to 3, or the least one above 3, whose window fits
+    MAX_WINDOW_VERTICES; a LatticeError names the radius when none fits.
     """
     if radius is None:
         n_base = len(lattice.base.vertices)
-        radius = next((r for r in (3, 2)
-                       if n_base * (2 * r + 1) ** lattice.dim <= MAX_WINDOW_VERTICES), 2)
+        top = max(abs(c) for vec in lattice.voltage.values() for c in vec)
+        least = max(2, top + CONNECTIVITY_MARGIN)
+        radius = next((r for r in (max(3, least), least)
+                       if n_base * (2 * r + 1) ** lattice.dim <= MAX_WINDOW_VERTICES), None)
+        if radius is None:
+            raise LatticeError(f"edge connectivity needs a window of radius {least} or more"
+                               f" (the largest voltage entry is {top}), above the cap of"
+                               f" {MAX_WINDOW_VERTICES} vertices")
     if radius < 2:
         raise LatticeError("edge connectivity needs radius >= 2")
     win = instantiate_window(lattice, realization, radius)

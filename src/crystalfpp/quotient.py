@@ -286,7 +286,8 @@ def covering_fiber(qdata: QuotientData, quotient_vertex: tuple[int, tuple[int, .
         raise LatticeError(f"quotient vertex {quotient_vertex} has the wrong dimension")
     hits = np.all(window.vertex_translations @ np.array(qdata.q, dtype=int).T
                   == np.array(z1, dtype=int), axis=1)
-    return [window.vertices[i] for i in np.flatnonzero(hits) if window.vertices[i][0] == u1]
+    fiber = (window.vertices[i] for i in np.flatnonzero(hits).tolist())
+    return [v for v in fiber if v[0] == u1]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ from crystalfpp.cli import (
     render_shape_svg,
     run_experiment,
 )
-from crystalfpp.estimate import EstimatorError, estimate_shape
+from crystalfpp.estimate import EstimatorError, estimate_shape, estimate_time_constant
 from crystalfpp.fpp import DistributionError, MomentConditionError, TimeDistribution
 from crystalfpp.graph_core import GraphError
-from crystalfpp.lattice import LatticeError, WindowLimitError, build_preset, lattice_to_text
+from crystalfpp.lattice import (LatticeError, WindowLimitError, build_preset, lattice_from_text,
+                                lattice_to_text)
 
 
 def run_cli(args):
@@ -687,31 +688,61 @@ class TestLatticeAndQuotientCommands:
         assert (out2 / "lattice.txt").read_bytes() == lattice_file.read_bytes()
 
     @pytest.mark.parametrize("big", [2 ** 63 - 1, 10 ** 30])
-    def test_a_voltage_past_int64_runs_like_the_lattice_without_it(self, tmp_path, big):
+    def test_a_voltage_past_int64_runs_like_the_lattice_without_it(self, tmp_path, big, capsys):
         # cubic2 with an extra loop of voltage (big, big): no window a run builds
         # holds an instance of it, so the runs read as cubic2's, but for the
-        # base graph's orbit counts
+        # base graph's orbit counts.  The edge connectivity needs a window that
+        # does hold one, so the commands that print it, lattice and mu, stop
         text = lattice_to_text(*build_preset("cubic2")).replace(
             "halfedges 4", "halfedges 6").replace(
             "position", f"halfedge 4 0 0 5 {big} {big}\nhalfedge 5 0 0 4 {-big} {-big}\n"
                         "position")
         lattice_file = tmp_path / "lat.txt"
         lattice_file.write_text(text)
-        runs = {"lattice": ["lattice", "--radius", "2"],
-                "quotient": ["quotient", "--kernel", "1,-1", "--radius", "2"],
-                "mu": ["mu", "--direction", "1,0", "--dist", "exponential:1", "--k-max", "3",
-                       "--replicas", "4"]}
-        for name, argv in runs.items():
-            outs = [tmp_path / f"{name}-{source}" for source in ("file", "preset")]
-            for out, source in zip(outs, (["--lattice-file", str(lattice_file)],
-                                          ["--preset", "cubic2"])):
-                assert run_cli(argv + source + ["--out", str(out), "--threads", "1"]) == 0
-            file_lines, preset_lines = (
-                [line for line in (out / "summary.txt").read_text().splitlines()
-                 if not line.startswith(("# timing:", "config=", "lattice_hash=", "edge_orbits=",
-                                         "quotient_edge_orbits="))]
-                for out in outs)
-            assert file_lines == preset_lines
+        mu = ["mu", "--direction", "1,0", "--dist", "exponential:1", "--k-max", "3",
+              "--replicas", "4"]
+        capsys.readouterr()
+        for argv in (["lattice", "--radius", "2"], mu):
+            assert run_cli(argv + ["--lattice-file", str(lattice_file), "--out",
+                                   str(tmp_path / argv[0]), "--threads", "1"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: edge connectivity needs a window of radius {big + 1} or more (the"
+                f" largest voltage entry is {big}), above the cap of 400000 vertices\n")
+        file_ests, preset_ests = (
+            estimate_time_constant(*parts, TimeDistribution.parse("exponential:1"), [(1, 0)],
+                                   3, 4, 1)
+            for parts in (lattice_from_text(text), build_preset("cubic2")))
+        assert file_ests == preset_ests
+        outs = [tmp_path / f"quotient-{source}" for source in ("file", "preset")]
+        for out, source in zip(outs, (["--lattice-file", str(lattice_file)],
+                                      ["--preset", "cubic2"])):
+            assert run_cli(["quotient", "--kernel", "1,-1", "--radius", "2"] + source
+                           + ["--out", str(out), "--threads", "1"]) == 0
+        file_lines, preset_lines = (
+            [line for line in (out / "summary.txt").read_text().splitlines()
+             if not line.startswith(("# timing:", "config=", "lattice_hash=", "edge_orbits=",
+                                     "quotient_edge_orbits="))]
+            for out in outs)
+        assert file_lines == preset_lines
+
+    def test_connectivity_window_holds_every_half_edge(self, tmp_path, capsys):
+        # one vertex with loops of voltage 100 and 101: at radius 3 the connectivity
+        # window held neither, read 0, and a pareto run's moment check refused k = 0
+        lattice_file = tmp_path / "far.txt"
+        lattice_file.write_text("crystal-lattice 1\ndim 1\nvertices 1\nvertex 0\nhalfedges 4\n"
+                                "halfedge 0 0 0 1 100\nhalfedge 1 0 0 0 -100\n"
+                                "halfedge 2 0 0 3 101\nhalfedge 3 0 0 2 -101\n"
+                                "position 0 0.0\nperiod 1.0\n")
+        source = ["--lattice-file", str(lattice_file), "--threads", "1"]
+        assert run_cli(["lattice", "--radius", "3", "--out", str(tmp_path / "l")] + source) == 0
+        summary = (tmp_path / "l" / "summary.txt").read_text().splitlines()
+        assert "edge_connectivity=2" in summary and "certificate_paths=2" in summary
+        capsys.readouterr()
+        for law in ("pareto:3", "exponential:1"):
+            assert run_cli(["mu", "--direction", "1", "--dist", law, "--k-max", "2",
+                            "--replicas", "3", "--out", str(tmp_path / law)] + source) == 1
+            assert capsys.readouterr().err == (
+                "error: boundary flags persisted after 4 window enlargements\n")
 
     def test_cubic7_lattice_command_finds_its_connectivity(self, tmp_path):
         # the R = 3 window of cubic7 is above the vertex cap, so the connectivity

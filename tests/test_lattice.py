@@ -1,6 +1,13 @@
+import gc
 import hashlib
 import math
+import pickle
+import tracemalloc
+import weakref
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,6 +36,41 @@ from crystalfpp.lattice import (
 from crystalfpp.quotient import KernelSublattice, build_quotient
 
 PRESETS = ("cubic2", "cubic3", "triangular", "honeycomb", "diamond")
+# two vertices joined by a zero-voltage edge, unit loops at vertex 0, and a loop
+# at vertex 1 whose voltage (5, -7) has no instance in a window of radius 3 or less
+TWO_VERTEX_FAR = """crystal-lattice 1
+dim 2
+vertices 2
+vertex 0
+vertex 1
+halfedges 8
+halfedge 0 0 1 1 0 0
+halfedge 1 1 0 0 0 0
+halfedge 2 0 0 3 1 0
+halfedge 3 0 0 2 -1 0
+halfedge 4 0 0 5 0 1
+halfedge 5 0 0 4 0 -1
+halfedge 6 1 1 7 5 -7
+halfedge 7 1 1 6 -5 7
+position 0 0.0 0.0
+position 1 0.5 0.3
+period 1.0 0.0
+period 0.0 1.0
+"""
+# one vertex with loops of voltage 100 and 101: no window of radius 100 or less
+# holds an instance of either
+FAR_LINE = """crystal-lattice 1
+dim 1
+vertices 1
+vertex 0
+halfedges 4
+halfedge 0 0 0 1 100
+halfedge 1 0 0 0 -100
+halfedge 2 0 0 3 101
+halfedge 3 0 0 2 -101
+position 0 0.0
+period 1.0
+"""
 
 
 def lattice_case(name):
@@ -47,6 +89,8 @@ def lattice_case(name):
             voltage[2 * i + 1] = tuple(-c for c in vec)
         return build_custom(base, voltage, {0: (0.0, 0.0), 1: (0.5, 0.3)},
                             ((1.0, 0.0), (0.0, 1.0)))
+    if name == "two-vertex-far":
+        return lattice_from_text(TWO_VERTEX_FAR)
     if name == "three-vertex-loop":
         # the triangle's cycle voltage (1, 1) and the loop's (0, 1) generate Z^2
         base = graph_from_edges(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
@@ -217,6 +261,121 @@ class TestWindow:
         assert win.adjacency == tuple(tuple(sorted(row)) for row in adj)
         assert win.vertex_translations.tolist() == [list(z) for _, z in win.vertices]
 
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    @pytest.mark.parametrize("case", ("cubic1",) + PRESETS + ("two-vertex-far",))
+    def test_vertex_views_follow_the_box_order(self, case, radius):
+        lat, real = lattice_case(case)
+        win = instantiate_window(lat, real, radius)
+        box = tuple(product(range(-radius, radius + 1), repeat=lat.dim))
+        expected = tuple((u, z) for z in box for u in lat.base.vertices)
+        assert tuple(win.vertices) == expected and win.vertices == expected
+        assert len(win.vertices) == len(win.vertex_index) == len(win.adjacency) == len(expected)
+        assert dict(win.vertex_index) == {v: i for i, v in enumerate(expected)}
+        assert win.vertex_index == {v: i for i, v in enumerate(expected)}
+        assert win.indices == box
+        assert all(type(u) is int and all(type(c) is int for c in z) for u, z in win.vertices)
+        assert all(type(i) is int for i in win.vertex_index.values())
+
+    def test_vertices_index_like_a_tuple(self):
+        win = instantiate_window(*build_preset("honeycomb"), 2)
+        as_tuple = tuple(win.vertices)
+        assert win.vertices[-1] == as_tuple[-1] == (1, (2, 2))
+        assert win.vertices[np.int64(3)] == as_tuple[3]
+        for part in (slice(3, 11, 2), slice(None, None, -1), slice(-4, None), slice(60, 70)):
+            assert win.vertices[part] == as_tuple[part]
+        for i in (len(as_tuple), -len(as_tuple) - 1):
+            with pytest.raises(IndexError):
+                win.vertices[i]
+        for i in (1.0, "a", None):
+            with pytest.raises(TypeError):
+                win.vertices[i]
+        assert hash(win.vertices) == hash(as_tuple)
+        assert win.vertices != list(as_tuple)
+
+    def test_vertex_index_answers_every_key_as_a_dict(self):
+        win = instantiate_window(*build_preset("honeycomb"), 2)
+        as_dict = dict(win.vertex_index)
+        keys = [(0, (1, 0)), (1, (-2, 2)), (0, (1.0, 0)), (1, (-1.0, -2)), (True, (0, 0)),
+                (0.0, (0, 0)), (0, (np.int64(1), 0)), (0, (Fraction(-1), Decimal(2))),
+                (0, (-1 + 0j, 0)), (0, (1.5, 0)), (0, (Fraction(3, 2), 0)), (0, (3, 0)),
+                (0, (0, -3)), (0, (10 ** 30, 0)), (0, (2 ** 61, 0)), (0, (float("nan"), 0)),
+                (0, ("1", 0)), (0, (None, 0)), (2, (0, 0)), (-1, (0, 0)), (0, (0,)),
+                (0, (0, 0, 0)), (0, ()), (0, 5), ((0,), 0), 0, None, "ab", (0,), (0, 0, 0),
+                frozenset({0, 1})]
+        for key in keys:
+            assert (key in win.vertex_index) == (key in as_dict), key
+            assert win.vertex_index.get(key, -1) == as_dict.get(key, -1), key
+            if key in as_dict:
+                assert win.vertex_index[key] == as_dict[key]
+            else:
+                with pytest.raises(KeyError):
+                    win.vertex_index[key]
+        assert sum(key in as_dict for key in keys) == 9
+        for key in [(0, [1, 0]), [0, (1, 0)], (0, (1, [0]))]:
+            for table in (as_dict, win.vertex_index):
+                with pytest.raises(TypeError, match="unhashable"):
+                    key in table
+
+    def test_contains_is_vertex_index_membership(self):
+        win = instantiate_window(*build_preset("cubic2"), 2)
+        assert win.contains(0, (1, 0)) and win.contains(0, [1.0, -2])
+        assert not win.contains(0, (1.5, 0))
+        assert (0, (1.5, 0)) not in win.vertex_index
+        assert not win.contains(0, (3, 0)) and not win.contains(1, (0, 0))
+        assert not win.contains(0, (0,))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_vertices_and_vertex_index_are_inverse(self, data):
+        lat, real = random_lattice(data)
+        win = instantiate_window(lat, real, data.draw(st.integers(0, 3)))
+        assert [win.vertex_index[v] for v in win.vertices] == list(range(len(win.vertices)))
+        u = data.draw(st.sampled_from(lat.base.vertices))
+        z = data.draw(st.tuples(*[st.integers(-4, 4)] * lat.dim))
+        if (u, z) in win.vertex_index:
+            assert win.vertices[win.vertex_index[u, z]] == (u, z)
+        else:
+            assert max(map(abs, z)) > win.radius
+
+    def test_a_pickled_window_keeps_its_tables(self):
+        win = instantiate_window(*lattice_case("two-vertex-far"), 2)
+        copy = pickle.loads(pickle.dumps(win))
+        assert copy.vertices == win.vertices and copy.vertex_index == win.vertex_index
+        assert copy.adjacency == win.adjacency and copy.orbit_keys == win.orbit_keys
+        assert (copy.orbit_eids == win.orbit_eids).all()
+        assert (copy.coords == win.coords).all()
+
+    def test_a_discarded_window_is_freed_without_the_cyclic_collector(self):
+        # a view that referred back to its window would leave each discarded
+        # window to the cyclic collector, and peak memory would grow with it
+        win = instantiate_window(*build_preset("honeycomb"), 3)
+        win.vertices[0], win.vertex_index[0, (0, 0)], win.coords, win.indices
+        win.orbit_keys, win.orbit_eids, win.sample_order
+        ref = weakref.ref(win)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del win
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_cubic2_window_takes_under_480_bytes_per_vertex(self):
+        # traced at R = 30 on CPython 3.11 and numpy 2.4: 585 bytes per vertex
+        # when a window also stored its vertex tuple, index dict, indices and
+        # coords, 393 bytes now that it computes them on demand
+        lat, real = build_preset("cubic2")
+        instantiate_window(lat, real, 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            win = instantiate_window(lat, real, 30)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size / len(win.vertices) < 480
+
     @pytest.mark.parametrize("big", [4, 5, 2 ** 63 - 1, 2 ** 63, 10 ** 30])
     def test_voltages_past_the_box_have_no_instance(self, big):
         # a unit loop and a loop of voltage big: at R = 2 the big loop has an
@@ -340,6 +499,27 @@ class TestEdgeConnectivity:
         result = edge_connectivity_estimate(*build_preset(f"cubic{d}"))
         assert (result.value, result.radius) == (2 * d, 3)
         assert result.sink == (0, (0,) * d)
+
+    @pytest.mark.parametrize("preset,expected", [
+        ("cubic1", 1), ("cubic2", 4), ("cubic3", 6), ("triangular", 6), ("honeycomb", 3),
+        ("diamond", 4)])
+    def test_presets_keep_radius_3_by_default(self, preset, expected):
+        result = edge_connectivity_estimate(*build_preset(preset))
+        assert (result.value, result.radius) == (expected, 3)
+
+    def test_default_window_holds_every_half_edge(self):
+        # at radius 3 neither loop has an instance, and the value read 0
+        result = edge_connectivity_estimate(*lattice_from_text(FAR_LINE))
+        assert (result.value, result.radius) == (2, 101 + CONNECTIVITY_MARGIN)
+        assert len(result.paths) == 2
+
+    def test_no_window_under_the_cap_holds_every_half_edge(self):
+        lat, real = lattice_from_text(FAR_LINE.replace(" 100\n", " 999999\n")
+                                      .replace(" -100\n", " -999999\n"))
+        with pytest.raises(LatticeError, match=r"^edge connectivity needs a window of radius"
+                           r" 1000000 or more \(the largest voltage entry is 999999\), above"
+                           r" the cap of 400000 vertices$"):
+            edge_connectivity_estimate(lat, real)
 
     def test_window_too_small(self):
         lat, real = build_preset("cubic2")
